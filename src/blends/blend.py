@@ -19,6 +19,7 @@ is duck-typed, so exotic scalar types work for scalar s.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ __all__ = [
 
 
 def _all_finite(x) -> bool:
+    if type(x) is float or type(x) is complex:
+        return cmath.isfinite(x)
     try:
         return bool(np.all(np.isfinite(x)))
     except TypeError:

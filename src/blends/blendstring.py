@@ -73,10 +73,55 @@ class EvalTable:
             f.write(self.to_csv())
 
 
+class _Path:
+    """Arrays a blendstring derives from its records, filled on first use.
+
+    ``a`` and ``d`` are the segment starts and spans in complex double, for
+    point dispatch and table points.  ``blends`` holds each segment's Blend,
+    built in the records' own arithmetic when that segment is first needed.
+    ``scaled()`` gives the s-space coefficient matrices for batch evaluation.
+    """
+
+    __slots__ = ("records", "a", "d", "blends", "_scaled")
+
+    def __init__(self, records):
+        z = np.array([r.knot for r in records], dtype=complex)
+        self.records = records
+        self.a = z[:-1]
+        self.d = z[1:] - z[:-1]
+        self.blends = [None] * (len(records) - 1)
+        self._scaled = None
+
+    def scaled(self):
+        """(P, Q): row k holds segment k's left and right coefficients times d[k]**j."""
+        if self._scaled is None:
+            coeffs = np.array([r.coeffs for r in self.records])
+            if coeffs.dtype.kind not in "biufc":
+                odd = next(
+                    c for c in coeffs.flat if not isinstance(c, (float, complex))
+                )
+                raise TypeError(
+                    "batch evaluation needs float or complex coefficients, "
+                    f"not {type(odd).__name__}"
+                )
+            powers = np.ones(coeffs[1:].shape, dtype=complex)
+            powers[:, 1:] = self.d[:, None]
+            powers = np.multiply.accumulate(powers, axis=1)
+            self._scaled = (coeffs[:-1] * powers, coeffs[1:] * powers)
+        return self._scaled
+
+
+def _along(table):
+    """Flatten a (segments, points) table in path order, each knot once."""
+    return np.concatenate([table[:, :-1].ravel(), table[-1, -1:]])
+
+
 class Blendstring:
     """Ordered local Taylor records of a shared grade along a polygonal path."""
 
-    __slots__ = ("records",)
+    # _path caches arrays derived from the records (see _Path); it is built
+    # on first use and is not part of equality, copies or pickles
+    __slots__ = ("records", "_path")
 
     def __init__(self, records: Sequence[LocalTaylor]):
         records = tuple(records)
@@ -92,9 +137,13 @@ class Blendstring:
                     f"consecutive knots must be distinct (knot {a.knot!r} repeats)"
                 )
         object.__setattr__(self, "records", records)
+        object.__setattr__(self, "_path", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Blendstring is immutable")
+
+    def __reduce__(self):
+        return (Blendstring, (self.records,))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -151,7 +200,20 @@ class Blendstring:
 
     def segment_blend(self, k: int) -> Blend:
         """The blend over segment k, with coefficients scaled to s-space."""
-        return Blend.from_taylor(self.records[k], self.records[k + 1])
+        if not 0 <= k < self.segments:
+            raise IndexError(f"segment {k} out of range 0..{self.segments - 1}")
+        blends = self._cache().blends
+        b = blends[k]
+        if b is None:
+            b = blends[k] = Blend.from_taylor(self.records[k], self.records[k + 1])
+        return b
+
+    def _cache(self) -> "_Path":
+        path = self._path
+        if path is None:
+            path = _Path(self.records)
+            object.__setattr__(self, "_path", path)
+        return path
 
     # -- evaluation ------------------------------------------------------
 
@@ -161,19 +223,26 @@ class Blendstring:
             if z == self.records[0].knot:
                 return self.records[0].coeffs[0]
             raise OffPathError(f"{z!r} is not the single knot of this blendstring")
-        for k in range(self.segments):
-            a = self.records[k].knot
-            d = self.records[k + 1].knot - a
-            s = (z - a) / d
-            if abs(s.imag) <= rtol and -rtol <= s.real <= 1.0 + rtol:
-                return blend_eval(self.segment_blend(k), s)
-        raise OffPathError(f"{z!r} lies on no segment of this blendstring")
+        path = self._cache()
+        s = (complex(z) - path.a) / path.d
+        hit = (np.abs(s.imag) <= rtol) & (s.real >= -rtol) & (s.real <= 1.0 + rtol)
+        k = int(hit.argmax())
+        if not hit[k]:
+            raise OffPathError(f"{z!r} lies on no segment of this blendstring")
+        # the segment is chosen in double precision; s is recomputed in the
+        # records' own arithmetic, so wider scalar types keep their digits
+        a = self.records[k].knot
+        s = (z - a) / (self.records[k + 1].knot - a)
+        return blend_eval(self.segment_blend(k), s)
 
     def deval(self, nrefine: int | None = None, nder: int = 0) -> EvalTable:
         """Evaluate everywhere: knots plus nrefine interior points per segment.
 
         Defaults to nrefine = 2*(grade+1) interior points.  Derivatives are
         returned with respect to z, so each s-jet is divided by span**k.
+        All segments go through one jet evaluation in complex double
+        precision; coefficients that numpy cannot hold as float or complex
+        raise TypeError.
         """
         if nrefine is None:
             nrefine = 2 * (self.grade + 1)
@@ -187,24 +256,25 @@ class Blendstring:
                     fact *= k
                 derivs.append(fact * r.coeffs[k] if k <= r.grade else 0j)
             return EvalTable(((r.knot, tuple(derivs)),), nder)
-        rows = []
-        for k in range(self.segments):
-            a = self.records[k].knot
-            d = self.records[k + 1].knot - a
-            last = k == self.segments - 1
-            s = np.arange(0, nrefine + (2 if last else 1)) / (nrefine + 1)
-            jets = blend_eval_derivs(self.segment_blend(k), s, nder)
-            pts = a + s * d
-            if last:
-                pts[-1] = self.records[k + 1].knot
-            scale = 1.0
-            zjets = []
-            for order in range(nder + 1):
-                zjets.append(np.asarray(jets[order]) / scale)
-                scale = scale * d
-            for i, z in enumerate(pts):
-                rows.append((complex(z), tuple(complex(zj[i]) for zj in zjets)))
-        return EvalTable(tuple(rows), nder)
+        path = self._cache()
+        P, Q = path.scaled()
+        # one blend whose coefficients are (segments, 1) columns, evaluated at
+        # a (1, nrefine+2) row of s values: every segment's jet in one call
+        columns = Blend(
+            LocalTaylor(0.0, P.T[:, :, None]), LocalTaylor(1.0, Q.T[:, :, None])
+        )
+        s = np.arange(nrefine + 2)[None, :] / (nrefine + 1)
+        d = path.d[:, None]
+        pts = path.a[:, None] + s * d
+        scale = 1.0
+        zjets = []
+        for jet in blend_eval_derivs(columns, s, nder):
+            zjets.append(_along(np.broadcast_to(jet / scale, pts.shape)))
+            scale = scale * d
+        pts = _along(pts)
+        pts[-1] = self.records[-1].knot
+        derivs = np.stack(zjets, axis=1).astype(complex).tolist()
+        return EvalTable(tuple(zip(pts.tolist(), map(tuple, derivs))), nder)
 
     # -- algebra ----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blendstring import Blendstring
+from .blendstring import Blendstring, _fmt
 from .errors import BlendsError
 from .functions import constant_oracle, get_oracle
 from .mathieu import (
@@ -65,10 +65,6 @@ def parse_scalar(token: str) -> complex:
 
 def parse_scalar_list(text: str) -> list:
     return [parse_scalar(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _fmt_cplx(z: complex) -> str:

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,8 +16,9 @@ from blends import (
     identity_oracle,
     recip_gamma_oracle,
 )
-from blends.blendstring import zip_with
-from blends.series import combine, div, mul
+from blends.blend import blend_eval, blend_eval_derivs
+from blends.blendstring import DISPATCH_RTOL, zip_with
+from blends.series import LocalTaylor, combine, div, mul
 
 KNOTS4 = [-1.0, -1 / 3, 1 / 3, 1.0]
 
@@ -305,3 +309,134 @@ def test_eval_table_csv():
     assert len(lines) == 1 + len(t)
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0 and first[2] == pytest.approx(1.0)
+
+
+# -- batched deval and array dispatch --------------------------------------
+
+# a complex polygon with three corners (1, 1+1j, 0.5+1.5j), uneven knots
+CORNER_KNOTS = [0.0, 0.4, 1.0, 1 + 0.3j, 1 + 1j]
+CORNER_KNOTS += [0.75 + 1.25j, 0.5 + 1.5j, 0.1 + 1.2j, -0.2 + 1j]
+
+
+def _per_segment_table(bs, nrefine, nder):
+    """Reference table: one blend_eval_derivs call per segment, z-scaled."""
+    s = np.arange(nrefine + 2) / (nrefine + 1)
+    cols = [[] for _ in range(nder + 1)]
+    for k in range(bs.segments):
+        d = bs.knots[k + 1] - bs.knots[k]
+        jets = blend_eval_derivs(bs.segment_blend(k), s, nder)
+        keep = slice(None) if k == bs.segments - 1 else slice(0, -1)
+        for order in range(nder + 1):
+            cols[order].append(np.asarray(jets[order] / d**order)[keep])
+    return [np.concatenate(c) for c in cols]
+
+
+def test_deval_batched_matches_per_segment_kernel():
+    bs = Blendstring.from_oracle(CORNER_KNOTS, 12, exp_oracle)
+    bounds = (1e-14, 1e-12, 1e-10, 1e-8)
+    for nder in range(4):
+        t = bs.deval(nrefine=9, nder=nder)
+        want = _per_segment_table(bs, 9, nder)
+        for order in range(nder + 1):
+            got = t.derivatives(order)
+            scale = np.max(np.abs(want[order]))
+            assert np.max(np.abs(got - want[order])) <= bounds[order] * scale
+        assert np.max(np.abs(t.derivatives(0) - np.exp(t.points))) <= 1e-13
+
+
+def test_deval_layout_and_last_point():
+    bs = Blendstring.from_oracle(CORNER_KNOTS, 12, exp_oracle)
+    for nrefine in (0, 1, 5):
+        t = bs.deval(nrefine=nrefine, nder=1)
+        assert len(t) == bs.segments * (nrefine + 1) + 1
+        assert t.rows[-1][0] == complex(CORNER_KNOTS[-1])
+        # every knot appears once, at its own position in path order
+        assert list(t.points[:: nrefine + 1]) == [complex(z) for z in CORNER_KNOTS]
+        assert all(isinstance(d, complex) for _, row in t.rows for d in row)
+    t0 = bs.deval(nrefine=0, nder=2)
+    want = _per_segment_table(bs, 0, 2)
+    scale = np.max(np.abs(want[0]))
+    assert np.max(np.abs(t0.derivatives(0) - want[0])) <= 1e-14 * scale
+
+
+def test_deval_single_segment():
+    bs = Blendstring.from_oracle([0.2, 0.2 + 0.9j], 6, exp_oracle)
+    t = bs.deval(nrefine=4, nder=2)
+    assert len(t) == 6
+    assert t.rows[0][0] == 0.2 and t.rows[-1][0] == 0.2 + 0.9j
+    want = _per_segment_table(bs, 4, 2)
+    for order in range(3):
+        assert np.allclose(t.derivatives(order), want[order], rtol=1e-13, atol=0)
+
+
+def test_dispatch_first_segment_wins_on_self_crossing_path():
+    # segment 0 runs 0 -> 2 along the real axis, segment 2 runs 1+1j -> 1-1j,
+    # so z = 1 lies on both; the records differ so the two blends disagree
+    recs = [
+        LocalTaylor(0.0, (0.0, 0.0)),
+        LocalTaylor(2.0, (0.0, 0.0)),
+        LocalTaylor(1 + 1j, (10.0, 0.0)),
+        LocalTaylor(1 - 1j, (10.0, 0.0)),
+    ]
+    bs = Blendstring(recs)
+    assert bs.eval(1.0) == blend_eval(bs.segment_blend(0), 0.5) == 0.0
+    assert blend_eval(bs.segment_blend(2), 0.5) == 10.0
+    assert bs.eval(1 + 0.5j) == 10.0
+
+
+def test_dispatch_tolerance_edges():
+    bs = exp_string()
+    a, b = KNOTS4[-2], KNOTS4[-1]
+    inside = a + (1 + DISPATCH_RTOL / 2) * (b - a)
+    assert bs.eval(inside) == blend_eval(bs.segment_blend(2), (inside - a) / (b - a))
+    assert bs.eval(0.0 + 0.5j * DISPATCH_RTOL * (b - a)) == pytest.approx(1.0)
+    with pytest.raises(OffPathError):
+        bs.eval(a + (1 + 3 * DISPATCH_RTOL) * (b - a))
+    with pytest.raises(OffPathError):
+        bs.eval(KNOTS4[0] - 1e-3)
+    for k in (-1, bs.segments):
+        with pytest.raises(IndexError):
+            bs.segment_blend(k)
+
+
+# -- copies, pickles and wider scalar types ---------------------------------
+
+
+def test_copy_deepcopy_and_pickle_round_trip():
+    bs = Blendstring.from_oracle(CORNER_KNOTS, 7, exp_oracle)
+    z = 1 + 0.65j
+    value, table = bs.eval(z), bs.deval(nrefine=3, nder=2)  # fills the cache
+    fresh = pickle.dumps(Blendstring.from_oracle(CORNER_KNOTS, 7, exp_oracle))
+    assert pickle.dumps(bs) == fresh  # the cache is never serialized
+    for twin in (copy.copy(bs), copy.deepcopy(bs), pickle.loads(pickle.dumps(bs))):
+        assert twin == bs
+        assert twin.eval(z) == value
+        assert twin.deval(nrefine=3, nder=2) == table
+
+
+def _mp_exp_string(knots, grade):
+    recs = []
+    for a in knots:
+        e, coeffs = mpmath.exp(a), []
+        for j in range(grade + 1):
+            coeffs.append(e / mpmath.factorial(j))
+        recs.append(LocalTaylor(a, coeffs))
+    return Blendstring(recs)
+
+
+def test_mpmath_records_eval_and_integral():
+    with mpmath.workdps(30):
+        knots = [mpmath.mpc(0), mpmath.mpc("0.5", "0.25"), mpmath.mpc(1)]
+        bs = _mp_exp_string(knots, 6)
+        for k, frac in ((0, mpmath.mpf("0.3")), (1, mpmath.mpf("0.7"))):
+            a, b = knots[k], knots[k + 1]
+            z = a + frac * (b - a)
+            v = bs.eval(z)
+            assert isinstance(v, mpmath.mpc)
+            assert v == blend_eval(bs.segment_blend(k), (z - a) / (b - a))
+            assert abs(v - mpmath.exp(z)) <= 1e-7
+        total = bs.definite_integral()
+        assert isinstance(total, mpmath.mpc)
+        assert abs(total - (mpmath.e - 1)) <= 1e-9
+        with pytest.raises(TypeError, match="mpc"):
+            bs.deval(nrefine=2)
