@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,7 +33,7 @@ __all__ = [
     "Blend",
     "blend_eval",
     "blend_eval_derivs",
-    "blend_eval_derivs_bounded",
+    "basis_rows",
     "blend_integrate",
     "blend_condition_integral",
     "lebesgue_function",
@@ -82,6 +83,11 @@ class Blend:
         """b - a, the affine factor between z-space and s-space."""
         return self.right.knot - self.left.knot
 
+    @cached_property
+    def qalt(self) -> tuple:
+        """The q_j with the (-1)^j sign of the blend formula folded in."""
+        return tuple(c if j % 2 == 0 else -c for j, c in enumerate(self.right.coeffs))
+
     @classmethod
     def from_taylor(cls, left: LocalTaylor, right: LocalTaylor) -> "Blend":
         """Build the blend of two z-space Taylor records over [left.knot, right.knot]."""
@@ -120,13 +126,11 @@ def blend_eval(b: Blend, s):
     Accuracy is only guaranteed for s in [0,1] (or very near it in the
     complex plane); off the segment the truncation error grows rapidly.
     """
-    p, q = b.left.coeffs, b.right.coeffs
     m, n = b.m, b.n
     try:
         t = 1.0 - s
-        left = t ** (n + 1) * _half_sum(p, n, s)
-        qalt = tuple(c if j % 2 == 0 else -c for j, c in enumerate(q))
-        right = s ** (m + 1) * _half_sum(qalt, m, t)
+        left = t ** (n + 1) * _half_sum(b.left.coeffs, n, s)
+        right = s ** (m + 1) * _half_sum(b.qalt, m, t)
         out = left + right
     except OverflowError as exc:
         raise EvalOverflowError(f"blend of grades ({m},{n}) overflowed") from exc
@@ -157,7 +161,6 @@ def blend_eval_derivs(b: Blend, s, nder: int):
     """
     if nder < 0:
         raise ValueError("nder must be nonnegative")
-    p, q = b.left.coeffs, b.right.coeffs
     m, n = b.m, b.n
     width = nder + 1
     zero = 0.0 * s
@@ -179,11 +182,10 @@ def blend_eval_derivs(b: Blend, s, nder: int):
         return w
 
     try:
-        wl = half(p, n, s, 1.0)
+        wl = half(b.left.coeffs, n, s, 1.0)
         for _ in range(n + 1):
             wl = _jet_axpy_shift(1.0 - s, -1.0, wl)
-        qalt = tuple(c if j % 2 == 0 else -c for j, c in enumerate(q))
-        wr = half(qalt, m, 1.0 - s, -1.0)
+        wr = half(b.qalt, m, 1.0 - s, -1.0)
         for _ in range(m + 1):
             wr = _jet_axpy_shift(s, 1.0, wr)
         jet = [wl[k] + wr[k] for k in range(width)]
@@ -203,78 +205,50 @@ def blend_eval_derivs(b: Blend, s, nder: int):
     return out
 
 
-_EPS = 2.220446049250313e-16
+@lru_cache(maxsize=None)
+def basis_rows(m: int) -> np.ndarray:
+    """H, H', H'' of every basis polynomial of a grade-(m, m) blend at s = 1/4, 3/4, 1/2.
 
-
-def blend_eval_derivs_bounded(b: Blend, s: float, nder: int):
-    """Like blend_eval_derivs for scalar s, plus running roundoff bounds.
-
-    Returns (derivs, bounds): bounds[k] estimates the absolute floating-point
-    error in derivs[k], accumulated first-order through every operation of
-    the Horner recurrences.  High grades pass through internal quantities far
-    larger than the final value, so these bounds are the honest resolution
-    limit of derivative evaluation; the marching solver uses them to tell a
-    genuinely nonzero residual from roundoff.
+    Returns a read-only (3 nodes, 3 orders, 2m+2) array whose columns are
+    p_0..p_m, then q_0..q_m with their (-1)^j sign, so that for coefficient
+    tuples p and q, ``rows[i, k] @ (p + q)`` is blend_eval_derivs(b, s_i, 2)[k].
+    Every basis polynomial has integer power coefficients, so each entry is
+    an integer over a power of 4, rounded to double once by int / int.  The
+    q basis with its sign is (-1)^j times the p basis at 1 - s.
     """
-    if nder < 0:
-        raise ValueError("nder must be nonnegative")
-    p, q = b.left.coeffs, b.right.coeffs
-    m, n = b.m, b.n
-    width = nder + 1
-
-    def shift(x0, dx, w, we):
-        ax0 = abs(x0)
-        out = [x0 * w[0]]
-        oute = [ax0 * we[0] + _EPS * abs(out[0])]
-        for k in range(1, width):
-            v = x0 * w[k] + dx * w[k - 1]
-            out.append(v)
-            oute.append(
-                ax0 * we[k] + we[k - 1] + _EPS * (abs(x0 * w[k]) + abs(w[k - 1]))
-            )
-        return out, oute
-
-    def half(coeffs, other_grade, x0, dx):
-        g = len(coeffs) - 1
-        o = other_grade
-        w = [coeffs[g]] + [0j] * nder
-        we = [_EPS * abs(coeffs[g])] + [0.0] * nder
-        t = [1.0 + 0j] + [0j] * nder
-        te = [0.0] * width
-        xp = [1.0 + 0j] + [0j] * nder
-        xe = [0.0] * width
-        bb = 1
-        for j in range(g - 1, -1, -1):
-            r = g - j
-            bb = bb * (o + r) // r
-            xp, xe = shift(x0, dx, xp, xe)
-            for k in range(width):
-                term = bb * xp[k]
-                t[k] = t[k] + term
-                te[k] = te[k] + bb * xe[k] + _EPS * (abs(term) + abs(t[k]))
-            w, we = shift(x0, dx, w, we)
-            cj, acj = coeffs[j], abs(coeffs[j])
-            for k in range(width):
-                v = cj * t[k] + w[k]
-                we[k] = acj * te[k] + we[k] + _EPS * (abs(cj * t[k]) + abs(v))
-                w[k] = v
-        return w, we
-
-    wl, wle = half(p, n, s, 1.0)
-    for _ in range(n + 1):
-        wl, wle = shift(1.0 - s, -1.0, wl, wle)
-    qalt = tuple(c if j % 2 == 0 else -c for j, c in enumerate(q))
-    wr, wre = half(qalt, m, 1.0 - s, -1.0)
-    for _ in range(m + 1):
-        wr, wre = shift(s, 1.0, wr, wre)
-    out, bounds, fact = [], [], 1
-    for k in range(width):
-        if k > 1:
-            fact *= k
-        v = wl[k] + wr[k]
-        out.append(v * fact)
-        bounds.append((wle[k] + wre[k] + _EPS * abs(v)) * fact)
-    return out, bounds
+    if m < 0:
+        raise ValueError("grade must be nonnegative")
+    top = 2 * m + 1
+    # U_r = (1-s)^(m+1) sum_{k<=r} C(m+k,k) s^k in powers of s, for r = 0..m
+    one_minus = [(-1) ** i * math.comb(m + 1, i) for i in range(m + 2)]
+    u, polys = [0] * (top + 1), []
+    for r in range(m + 1):
+        c = math.comb(m + r, r)
+        for i, a in enumerate(one_minus):
+            u[r + i] += c * a
+        polys.append(list(u))
+    # the basis polynomial of p_j is s^j U_(m-j)
+    basis = np.array([[0] * j + polys[m - j][: top + 1 - j] for j in range(m + 1)], dtype=object)
+    # its d-th derivative at k/4 is sum_i c_i i!/(i-d)! k^(i-d) 4^(top-i) over 4^(top-d)
+    weights = np.array(
+        [
+            [math.perm(i, d) * k ** max(i - d, 0) * 4 ** (top - i) for k in (1, 2, 3)
+             for d in range(3)]
+            for i in range(top + 1)
+        ],
+        dtype=object,
+    )
+    num = (basis @ weights).reshape(m + 1, 3, 3)
+    rows = np.empty((3, 3, 2 * m + 2))
+    for node, k in enumerate((1, 3, 2)):
+        for d in range(3):
+            den = 4 ** (top - d)
+            rows[node, d, : m + 1] = [v / den for v in num[:, k - 1, d]]
+            rows[node, d, m + 1 :] = [
+                (-1) ** (j + d) * v / den for j, v in enumerate(num[:, 3 - k, d])
+            ]
+    rows.flags.writeable = False
+    return rows
 
 
 def blend_integrate(b: Blend):
@@ -320,24 +294,17 @@ def blend_condition_integral(m: int, n: int) -> float:
 def lebesgue_function(m: int, n: int, s):
     """Sum of absolute values of the two-point Hermite basis at s.
 
-    Computed by evaluating the blend once per unit coefficient vector and
-    summing absolute values: O((m+n)^2) work, a diagnostic rather than a hot
-    path.  For balanced grades it stays at or below 2 on [0,1].
+    One blend_eval_derivs call whose coefficients are the columns of the
+    identity, so row j of its result is basis polynomial j at every s.  For
+    balanced grades it stays at or below 2 on [0,1].
     """
     if m < 0 or n < 0:
         raise ValueError("grades must be nonnegative")
-    zp = (0.0,) * (m + 1)
-    zq = (0.0,) * (n + 1)
-    left = LocalTaylor(0.0, zp)
-    right = LocalTaylor(1.0, zq)
-    total = 0.0 * s
-    for j in range(m + 1):
-        e = zp[:j] + (1.0,) + zp[j + 1 :]
-        total = total + abs(blend_eval(Blend(LocalTaylor(0.0, e), right), s))
-    for j in range(n + 1):
-        e = zq[:j] + (1.0,) + zq[j + 1 :]
-        total = total + abs(blend_eval(Blend(left, LocalTaylor(1.0, e)), s))
-    return total
+    eye = np.eye(m + n + 2)[:, :, None]
+    unit = Blend(LocalTaylor(0.0, eye[: m + 1]), LocalTaylor(1.0, eye[m + 1 :]))
+    s = np.asarray(s)
+    (basis,) = blend_eval_derivs(unit, s.reshape(1, -1), 0)
+    return np.abs(basis).sum(axis=0).reshape(s.shape)[()]  # [()]: scalar for scalar s
 
 
 def truncation_factor(m: int, n: int) -> float:

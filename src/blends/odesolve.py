@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blend import Blend, blend_eval_derivs_bounded
+from .blend import basis_rows
 from .blendstring import Blendstring
 from .errors import SolveError
 from .series import LocalTaylor, SeriesOracle, combine, ode_taylor, zero_series
@@ -46,12 +46,11 @@ __all__ = [
     "stability_threshold",
 ]
 
-_COLLOCATION_S = (0.25, 0.75)
-_SAMPLE_S = 0.5
+# the nodes of basis_rows: collocation at s = 1/4 and 3/4, sample at s = 1/2
+_NODES_S = (0.25, 0.75, 0.5)
 _COND_LIMIT = 1e12
 _MAX_RETRIES = 60
 _EPS = 2.220446049250313e-16
-_FLOOR_SAFETY = 1.0
 
 
 @dataclass(frozen=True)
@@ -115,12 +114,13 @@ class SolveResult:
         return sum(1 for s in self.steps if s.accepted)
 
     def step_log_csv(self) -> str:
-        lines = ["index,re_from,im_from,re_to,im_to,h,residual,accepted,retries"]
+        lines = ["index,re_from,im_from,re_to,im_to,h,residual,accepted,retries,noise_floor"]
         for i, s in enumerate(self.steps):
             lines.append(
                 f"{i},{s.z_from.real:.17g},{s.z_from.imag:.17g},"
                 f"{s.z_to.real:.17g},{s.z_to.imag:.17g},"
-                f"{s.h:.17g},{s.residual:.17g},{int(s.accepted)},{s.retries}"
+                f"{s.h:.17g},{s.residual:.17g},{int(s.accepted)},{s.retries},"
+                f"{s.noise_floor:.17g}"
             )
         return "\n".join(lines) + "\n"
 
@@ -147,18 +147,15 @@ def _coeff_values(problem: OdeProblem, z: complex):
     )
 
 
-def _collocate(problem: OdeProblem, z0: complex, z1: complex, known: LocalTaylor):
-    """One collocation solve over [z0, z1].
+def _step_series(problem: OdeProblem, z0: complex, z1: complex, known: LocalTaylor):
+    """Series at z1 and the blend coefficients of one collocation step.
 
-    Returns (series at z1, residual sample, noise floor); a singular or
-    ill-conditioned 2x2 system comes back as (None, inf, 0).  The noise
-    floor estimates the residual magnitude produced by mere coefficient
-    roundoff: machine epsilon times the data magnitude times the summed
-    basis derivative magnitudes of the representation.  Samples at or below
-    the floor are indistinguishable from a zero residual.
+    Returns (cser, sser, pser, X): the homogeneous and particular solution
+    series at z1, and the s-space coefficients p_0..p_m, q_0..q_m of the
+    blends C (zero data at z0 against cser), S (against sser) and L (known
+    against pser) as the three columns of X.
     """
     m = problem.grade
-    d = z1 - z0
     a1 = LocalTaylor(z1, problem.a(z1, m))
     b1 = LocalTaylor(z1, problem.b(z1, m))
     g1 = LocalTaylor(z1, problem.g(z1, m))
@@ -166,33 +163,48 @@ def _collocate(problem: OdeProblem, z0: complex, z1: complex, known: LocalTaylor
     cser = ode_taylor(a1, b1, zs1, 1.0, 0.0, m)
     sser = ode_taylor(a1, b1, zs1, 0.0, 1.0, m)
     pser = ode_taylor(a1, b1, g1, 0.0, 0.0, m)
+    dj = np.cumprod(np.r_[1.0, np.full(m, z1 - z0)])
+    X = np.zeros((2 * m + 2, 3), complex)
+    X[: m + 1, 2] = known.coeffs
+    X[m + 1 :] = np.array([cser.coeffs, sser.coeffs, pser.coeffs]).T
+    X *= np.r_[dj, dj][:, None]
+    return cser, sser, pser, X
 
-    zs0 = zero_series(z0, m)
-    L = Blend.from_taylor(known, pser)
-    C = Blend.from_taylor(zs0, cser)
-    S = Blend.from_taylor(zs0, sser)
 
+def _collocate(problem: OdeProblem, z0: complex, z1: complex, known: LocalTaylor):
+    """One collocation solve over [z0, z1].
+
+    Returns (series at z1, residual sample, noise floor); a singular or
+    ill-conditioned 2x2 system comes back as (None, inf, 0).  The noise
+    floor bounds the residual magnitude produced by mere roundoff in
+    evaluating the blends from their double coefficients: unit roundoff
+    times the summed basis derivative magnitudes weighted by the data
+    magnitudes.  Samples at or below the floor are indistinguishable from a
+    zero residual.
+    """
+    m = problem.grade
+    d = z1 - z0
+    cser, sser, pser, X = _step_series(problem, z0, z1, known)
+    # the exact basis rows times X gives the blends' values at the nodes,
+    # with the dot-product error bound gamma_(K+1) |rows| |X| for K terms,
+    # one more for the rounding of the rows (Higham, section 3.1)
+    W = basis_rows(m)
+    ku = (2 * m + 3) * _EPS / 2  # (K+1) u
+    V = W @ X
+    E = ku / (1 - ku) * (np.abs(W) @ np.abs(X))
     ad = abs(d)
 
-    def residuals(s: float):
-        """Operator values of the three blends at s, with roundoff bounds."""
-        z = z0 + s * d
-        aval, bval, gval = _coeff_values(problem, z)
-        out = []
-        for X, inhom in ((C, 0.0), (S, 0.0), (L, gval)):
-            jet, err = blend_eval_derivs_bounded(X, s, 2)
-            val = jet[2] / (d * d) + aval * (jet[1] / d) + bval * jet[0] - inhom
-            bound = (
-                err[2] / (ad * ad)
-                + abs(aval) * err[1] / ad
-                + abs(bval) * err[0]
-                + _EPS * abs(inhom)
-            )
-            out.append((val, bound))
-        return out, (aval, bval, gval)
+    def residuals(node: int):
+        """Operator values of C, S and L at a node, with roundoff bounds."""
+        aval, bval, gval = _coeff_values(problem, z0 + _NODES_S[node] * d)
+        v, e = V[node], E[node]
+        inhom = np.array([0.0, 0.0, gval])
+        val = v[2] / (d * d) + aval * (v[1] / d) + bval * v[0] - inhom
+        bound = e[2] / (ad * ad) + abs(aval) * e[1] / ad + abs(bval) * e[0]
+        return zip(val.tolist(), (bound + _EPS * abs(inhom)).tolist())
 
-    ((c1, ec1), (s1, es1), (l1, el1)), _ = residuals(_COLLOCATION_S[0])
-    ((c2, ec2), (s2, es2), (l2, el2)), _ = residuals(_COLLOCATION_S[1])
+    (c1, ec1), (s1, es1), (l1, el1) = residuals(0)
+    (c2, ec2), (s2, es2), (l2, el2) = residuals(1)
 
     det = c1 * s2 - s1 * c2
     if det == 0:
@@ -212,7 +224,7 @@ def _collocate(problem: OdeProblem, z0: complex, z1: complex, known: LocalTaylor
     A = (r1[2] - r1[1] * B) / r1[0]
 
     result = combine(pser, combine(cser, sser, A, B))
-    ((rcm, ecm), (rsm, esm), (rlm, elm)), _ = residuals(_SAMPLE_S)
+    (rcm, ecm), (rsm, esm), (rlm, elm) = residuals(2)
     res = abs(rlm + A * rcm + B * rsm)
     if not math.isfinite(res):
         return None, math.inf, 0.0
@@ -221,7 +233,7 @@ def _collocate(problem: OdeProblem, z0: complex, z1: complex, known: LocalTaylor
     # wobble of (A, B) induced by the evaluation errors in the 2x2 system
     ab = max(abs(A), abs(B))
     d_ab = ninf_inv * (max(el1, el2) + ab * max(ec1 + es1, ec2 + es2))
-    floor = _FLOOR_SAFETY * (
+    floor = (
         elm
         + abs(A) * ecm
         + abs(B) * esm
@@ -242,10 +254,13 @@ def step(
 
     Returns (accepted, series_at_target, residual_sample); a singular or
     ill-conditioned collocation system comes back as a rejection with
-    series None and an infinite residual.
+    series None and an infinite residual.  ``known`` must have the
+    problem's grade.
     """
     if not h > 0:
         raise ValueError("h must be positive")
+    if known.grade != problem.grade:
+        raise ValueError(f"known series has grade {known.grade}, problem has {problem.grade}")
     z1 = from_knot + h * direction
     result, res, floor = _collocate(problem, from_knot, z1, known)
     accepted = result is not None and res <= max(problem.tol, floor)

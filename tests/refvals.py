@@ -1,5 +1,12 @@
 """Frozen reference values shared by the unit and acceptance tests."""
 
+from functools import lru_cache
+
+import mpmath
+
+from blends.blend import Blend, blend_eval_derivs
+from blends.series import LocalTaylor
+
 
 def sho_cosine_rational_m1(nu: float) -> float:
     return (57 * nu**4 - 1408 * nu**2 + 3072) / (9 * nu**4 + 128 * nu**2 + 3072)
@@ -48,3 +55,26 @@ RECIP_GAMMA_REFERENCE_INTEGRAL = -0.606607588776539
 #     w = mp.odefun(rhs, 0, [mp.mpf(1), mp.mpf(0)])(mp.mpf(1.485))[0]
 #     print(complex(w))  # |w| = 11.0918415294913120...
 MODIFIED_ENDPOINT_DOUBLE_POINT_1485 = complex(-8.877018595897027, -6.6503751295281495)
+
+
+# s = 1/4, 3/4, 1/2: the collocation nodes, then the mid-step sample
+COLLOCATION_NODES = (mpmath.mpf(1) / 4, mpmath.mpf(3) / 4, mpmath.mpf(1) / 2)
+
+
+@lru_cache(maxsize=None)
+def exact_basis_rows(m: int) -> tuple:
+    """rows[node][order][col]: H, H', H'' of each basis polynomial, 200 bits.
+
+    Each column is the jet of a grade-(m, m) blend whose coefficient vector
+    (p_0..p_m, q_0..q_m) is the unit vector of that column, evaluated by
+    blend_eval_derivs in 200-bit mpmath at the nodes above.
+    """
+    with mpmath.workprec(200):
+        cols = []
+        for col in range(2 * m + 2):
+            unit = [mpmath.mpf(int(i == col)) for i in range(2 * m + 2)]
+            b = Blend(LocalTaylor(0.0, unit[: m + 1]), LocalTaylor(1.0, unit[m + 1 :]))
+            cols.append([blend_eval_derivs(b, s, 2) for s in COLLOCATION_NODES])
+    return tuple(
+        tuple(tuple(c[node][order] for c in cols) for order in range(3)) for node in range(3)
+    )

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from refvals import exact_basis_rows
 from scipy.integrate import simpson
 
 from blends import EvalOverflowError
@@ -10,7 +12,7 @@ from blends.blend import (
     blend_condition_integral,
     blend_eval,
     blend_eval_derivs,
-    blend_eval_derivs_bounded,
+    basis_rows,
     blend_integrate,
     lebesgue_function,
     truncation_factor,
@@ -141,14 +143,25 @@ def test_derivatives_against_finite_differences():
         assert d2 == pytest.approx(fd2, rel=1e-4)
 
 
-def test_bounded_derivs_agree_and_bound_is_positive():
-    rng = np.random.default_rng(2)
-    b = make(tuple(rng.standard_normal(8)), tuple(rng.standard_normal(8)))
-    vals, bounds = blend_eval_derivs_bounded(b, 0.37, 2)
-    plain = blend_eval_derivs(b, 0.37, 2)
-    for v, pv, e in zip(vals, plain, bounds):
-        assert v == pytest.approx(pv, rel=1e-13, abs=1e-15)
-        assert e > 0
+def test_basis_rows_are_exact():
+    # every entry is the exact basis derivative rounded once to nearest
+    # double; float(mpf) would truncate, so round with to_float(rnd="n")
+    for m in range(1, 31):
+        rows = basis_rows(m)
+        assert rows.shape == (3, 3, 2 * m + 2)
+        exact = [
+            [[mpmath.libmp.to_float(v._mpf_, rnd="n") for v in order] for order in node]
+            for node in exact_basis_rows(m)
+        ]
+        assert rows.tolist() == exact, m
+
+
+def test_basis_rows_cached_and_read_only():
+    assert basis_rows(7) is basis_rows(7)
+    with pytest.raises(ValueError):
+        basis_rows(7)[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        basis_rows(-1)
 
 
 def test_condition_integral_values():
@@ -170,6 +183,21 @@ def test_condition_integral_matches_quadrature():
 def test_lebesgue_values():
     assert lebesgue_function(0, 0, 0.5) == pytest.approx(1.0)
     assert lebesgue_function(1, 1, 0.0) == pytest.approx(1.0)
+
+
+def test_lebesgue_matches_unit_vector_sum():
+    # reference: one blend_eval per unit coefficient vector, any grades and
+    # any shape of s, complex included
+    s = np.array([[0.0, 0.3, 0.5], [0.9, 1.0, 0.4 + 0.1j]])
+    for m, n in ((0, 3), (4, 2), (6, 6)):
+        ref = 0.0
+        for col in range(m + n + 2):
+            unit = [float(i == col) for i in range(m + n + 2)]
+            ref = ref + abs(blend_eval(make(unit[: m + 1], unit[m + 1 :]), s))
+        got = lebesgue_function(m, n, s)
+        assert got.shape == s.shape
+        assert np.allclose(got, ref, rtol=1e-13, atol=0)
+        assert lebesgue_function(m, n, 0.3) == pytest.approx(ref[0, 1], rel=1e-13)
 
 
 def test_lebesgue_balanced_bound():

@@ -1,9 +1,15 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from refvals import SHO_COSINE_RATIONALS, STABILITY_THRESHOLDS
+from refvals import (
+    COLLOCATION_NODES,
+    SHO_COSINE_RATIONALS,
+    STABILITY_THRESHOLDS,
+    exact_basis_rows,
+)
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from blends import (
@@ -19,7 +25,9 @@ from blends import (
     stability_threshold,
     step,
 )
+from blends import odesolve
 from blends.blend import blend_eval_derivs
+from blends.series import LocalTaylor
 
 ZERO = constant_oracle(0.0)
 ONE = constant_oracle(1.0)
@@ -56,6 +64,12 @@ def test_step_trivial_quadratic():
     ok, result, res = step(p, 0.0, known, 3.7)
     assert ok and res <= 1e-13
     assert np.allclose(result.coeffs, [1.0, 0, 0, 0, 0])
+
+
+def test_step_rejects_known_series_of_other_grade():
+    p = sho_problem(4, 1e-10)
+    with pytest.raises(ValueError, match="grade 2"):
+        step(p, 0.0, LocalTaylor(0.0, (1.0, 0.0, -0.5)), 0.5)
 
 
 def test_step_matches_printed_rational_m1():
@@ -259,6 +273,14 @@ def test_step_log_records():
     assert len(text.strip().splitlines()) == len(r.steps) + 1
 
 
+def test_step_log_noise_floor_column():
+    r = solve_ivp(sho_problem(9, 1e-10, h_init=6.0))
+    header, *rows = r.step_log_csv().splitlines()
+    col = header.split(",").index("noise_floor")
+    assert [float(row.split(",")[col]) for row in rows] == [s.noise_floor for s in r.steps]
+    assert all(s.noise_floor > 0 for s in r.steps)
+
+
 def test_solve_on_mesh_compatible():
     p1 = sho_problem(10, 1e-10)
     r1 = solve_ivp(p1)
@@ -268,3 +290,58 @@ def test_solve_on_mesh_compatible():
     end = r2.solution.records[-1]
     assert abs(end.coeffs[0]) <= 1e-9  # sin(2 pi)
     assert abs(end.coeffs[1] - 1.0) <= 1e-9
+
+
+def _exact_sample(problem, z0, z1, X) -> float:
+    """The residual sample of one attempt from the solver's double blend
+    coefficients X and oracle values, with exact basis rows, an exact 2x2
+    solve and 200-bit arithmetic throughout."""
+    rows = exact_basis_rows(problem.grade)
+    d = z1 - z0
+    with mpmath.workprec(200):
+        dd = mpmath.mpc(d)
+        Xmp = [[mpmath.mpc(x) for x in col] for col in X.T]
+        out = []
+        for node in range(3):
+            z = z0 + float(COLLOCATION_NODES[node]) * d  # as the solver forms it
+            a, b, g = (mpmath.mpc(f(z, 0)[0]) for f in (problem.a, problem.b, problem.g))
+            res = []
+            for col, inhom in zip(Xmp, (0, 0, g)):
+                v0, v1, v2 = (mpmath.fdot(rows[node][k], col) for k in range(3))
+                res.append(v2 / dd**2 + a * v1 / dd + b * v0 - inhom)
+            out.append(res)
+        (c1, s1, l1), (c2, s2, l2), (cm, sm, lm) = out
+        det = c1 * s2 - s1 * c2
+        A = (s1 * l2 - l1 * s2) / det
+        B = (c2 * l1 - c1 * l2) / det
+        return float(abs(lm + A * cm + B * sm))
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        # h_init is long enough that some attempts are rejected
+        sho_problem(15, 1e-13, span=6 * math.pi, h_init=12.0),
+        sho_problem(25, 1e-13, span=12 * math.pi, h_init=36.0),
+        OdeProblem(ZERO, airy_b, ZERO, (0.0, 4 + 4j, 8 - 2j, 10.0), 1.0, 0.0, 15, 1e-12, 6.0),
+    ],
+    ids=["sho15", "sho25", "airy_complex"],
+)
+def test_noise_floor_bounds_roundoff(monkeypatch, problem):
+    # every attempt's reported sample lies within its noise floor of the
+    # sample computed exactly from the same double coefficients
+    attempts = []
+
+    def spy(problem, z0, z1, known):
+        out = step_series(problem, z0, z1, known)
+        attempts.append((z0, z1, out[-1]))
+        return out
+
+    step_series = odesolve._step_series
+    monkeypatch.setattr(odesolve, "_step_series", spy)
+    r = solve_ivp(problem)
+    assert len(attempts) == len(r.steps) and any(not s.accepted for s in r.steps)
+    for (z0, z1, X), st in zip(attempts, r.steps):
+        assert (st.z_from, st.z_to) == (z0, z1)
+        exact = _exact_sample(problem, z0, z1, X)
+        assert abs(st.residual - exact) <= st.noise_floor, (st, exact)
