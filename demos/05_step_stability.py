@@ -3,8 +3,8 @@
 One step of size h for y'' + w^2 y = 0 multiplies (y, y') by a matrix whose
 entries are rational functions C_m, S_m of nu = w h standing in for cos and
 sin.  The matrix has unit determinant and trace 2 C_m, so steps stay on the
-unit circle exactly while |C_m| <= 1; the first failure nu* sits just below
-pi and crowds it rapidly as the grade grows.  Inside the narrow window past
+unit circle exactly while |C_m| <= 1; the first failure nu* sits near pi
+and crowds it rapidly as the grade grows.  Inside the narrow window past
 nu* the excess |C_m|-1 is tiny, so the growth per step is negligible anyway.
 """
 
@@ -14,11 +14,10 @@ import numpy as np
 
 from blends import sho_amplification, sho_step_matrix, stability_threshold
 
-print("grade   nu*/pi          first instability onset")
-for m in (1, 2, 3, 4):
+print("grade   nu*/pi             first instability onset")
+for m in range(1, 7):
     nustar = stability_threshold(m)
-    print(f"  {m}    {nustar / math.pi:.7f}      nu* = {nustar:.6f}")
-print("(for grades 5+ the window near pi is below double-precision detection)")
+    print(f"  {m}    {nustar / math.pi:.12f}     nu* = {nustar:.12f}")
 
 print("\nC_m(nu) and S_m(nu) against cos and sin, m = 3:")
 print("   nu      C_3          cos nu       S_3          sin nu")

@@ -213,9 +213,18 @@ def basis_rows(m: int) -> np.ndarray:
     p_0..p_m, then q_0..q_m with their (-1)^j sign, so that for coefficient
     tuples p and q, ``rows[i, k] @ (p + q)`` is blend_eval_derivs(b, s_i, 2)[k].
     Every basis polynomial has integer power coefficients, so each entry is
-    an integer over a power of 4, rounded to double once by int / int.  The
-    q basis with its sign is (-1)^j times the p basis at 1 - s.
+    an integer over a power of 4 (see basis_numerators), rounded to double
+    once by int / int.
     """
+    den = np.array([4 ** (2 * m + 1 - d) for d in range(3)], dtype=object)
+    rows = np.array(basis_numerators(m) / den[:, None], dtype=float)
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=None)
+def basis_numerators(m: int) -> np.ndarray:
+    """basis_rows(m) exactly: [node, d, col] times 4^(2m+1-d), a read-only array of ints."""
     if m < 0:
         raise ValueError("grade must be nonnegative")
     top = 2 * m + 1
@@ -239,16 +248,13 @@ def basis_rows(m: int) -> np.ndarray:
         dtype=object,
     )
     num = (basis @ weights).reshape(m + 1, 3, 3)
-    rows = np.empty((3, 3, 2 * m + 2))
+    out = np.empty((3, 3, 2 * m + 2), dtype=object)
     for node, k in enumerate((1, 3, 2)):
-        for d in range(3):
-            den = 4 ** (top - d)
-            rows[node, d, : m + 1] = [v / den for v in num[:, k - 1, d]]
-            rows[node, d, m + 1 :] = [
-                (-1) ** (j + d) * v / den for j, v in enumerate(num[:, 3 - k, d])
-            ]
-    rows.flags.writeable = False
-    return rows
+        for d in range(3):  # the q basis with its sign is (-1)^j times the p basis at 1 - s
+            out[node, d, : m + 1] = num[:, k - 1, d]
+            out[node, d, m + 1 :] = [(-1) ** (j + d) * v for j, v in enumerate(num[:, 3 - k, d])]
+    out.flags.writeable = False
+    return out
 
 
 def blend_integrate(b: Blend):

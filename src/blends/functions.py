@@ -37,8 +37,8 @@ def exp_oracle(point, grade):
     return out
 
 
-def sin_oracle(point, grade):
-    cycle = (cmath.sin(point), cmath.cos(point))
+def _trig_series(cycle, grade):
+    """Taylor coefficients f^(j)/j! from (f, f'), using f'' = -f."""
     out, f = [], 1.0
     for j in range(grade + 1):
         if j > 1:
@@ -46,17 +46,14 @@ def sin_oracle(point, grade):
         v = cycle[j % 2] if j % 4 < 2 else -cycle[j % 2]
         out.append(v / f)
     return out
+
+
+def sin_oracle(point, grade):
+    return _trig_series((cmath.sin(point), cmath.cos(point)), grade)
 
 
 def cos_oracle(point, grade):
-    cycle = (cmath.cos(point), -cmath.sin(point))
-    out, f = [], 1.0
-    for j in range(grade + 1):
-        if j > 1:
-            f *= j
-        v = cycle[j % 2] if j % 4 < 2 else -cycle[j % 2]
-        out.append(v / f)
-    return out
+    return _trig_series((cmath.cos(point), -cmath.sin(point)), grade)
 
 
 def identity_oracle(point, grade):
@@ -137,7 +134,11 @@ def blendstring_oracle(bs: Blendstring):
     return oracle
 
 
-FUNCTION_NAMES = ("exp", "sin", "cos", "identity", "poly", "recip", "recip-gamma")
+_ORACLES = {
+    "exp": exp_oracle, "sin": sin_oracle, "cos": cos_oracle, "identity": identity_oracle,
+    "poly": poly_oracle, "recip": recip_poly_oracle, "recip-gamma": recip_gamma_oracle,
+}
+FUNCTION_NAMES = tuple(_ORACLES)
 
 
 def get_oracle(name: str, coeffs: Sequence[complex] | None = None):
@@ -146,18 +147,10 @@ def get_oracle(name: str, coeffs: Sequence[complex] | None = None):
     ``poly`` and ``recip`` require the polynomial coefficients; the other
     names take no parameters.
     """
-    if name == "exp":
-        return exp_oracle
-    if name == "sin":
-        return sin_oracle
-    if name == "cos":
-        return cos_oracle
-    if name == "identity":
-        return identity_oracle
-    if name == "recip-gamma":
-        return recip_gamma_oracle
-    if name in ("poly", "recip"):
-        if not coeffs:
-            raise ValueError(f"function {name!r} needs polynomial coefficients")
-        return poly_oracle(coeffs) if name == "poly" else recip_poly_oracle(coeffs)
-    raise ValueError(f"unknown function {name!r}; known: {', '.join(FUNCTION_NAMES)}")
+    if name not in _ORACLES:
+        raise ValueError(f"unknown function {name!r}; known: {', '.join(FUNCTION_NAMES)}")
+    if name not in ("poly", "recip"):
+        return _ORACLES[name]
+    if not coeffs:
+        raise ValueError(f"function {name!r} needs polynomial coefficients")
+    return _ORACLES[name](coeffs)

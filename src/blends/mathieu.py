@@ -19,6 +19,7 @@ import numpy as np
 
 from .blendstring import Blendstring, zip_with
 from .errors import SolveError
+from .functions import zero_oracle
 from .odesolve import OdeProblem, solve_ivp, solve_on_mesh
 from .series import combine, mul
 
@@ -68,9 +69,6 @@ def mathieu_operator(a, q):
     a = complex(a)
     q = complex(q)
 
-    def zero(point, grade):
-        return [0j] * (grade + 1)
-
     def bcoef(point, grade):
         w = 2.0 * complex(point)
         out = []
@@ -85,7 +83,7 @@ def mathieu_operator(a, q):
             pw *= 2.0
         return out
 
-    return zero, bcoef, zero
+    return zero_oracle, bcoef, zero_oracle
 
 
 def mathieu_problem(

@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .blend import basis_rows
+from .blend import basis_numerators, basis_rows
 from .blendstring import Blendstring
 from .errors import SolveError
 from .series import LocalTaylor, SeriesOracle, combine, ode_taylor, zero_series
@@ -368,39 +371,52 @@ def solve_on_mesh(problem: OdeProblem, knots: Sequence[complex]) -> SolveResult:
 # -- harmonic-oscillator step analysis ---------------------------------------
 
 
-def _sho_problem(m: int, tol: float = 1e-12) -> OdeProblem:
-    def zero(point, grade):
-        return [0j] * (grade + 1)
+@lru_cache(maxsize=None)
+def _sho_rationals(m: int) -> tuple:
+    """(N, D, P, Q), Fraction coefficients in x = nu^2, of the grade-m step for y'' + y = 0.
 
-    def one(point, grade):
-        return [1.0 + 0j] + [0j] * grade
+    A step of length nu is exact rational arithmetic: the blend coefficients
+    are the Taylor coefficients of cos and sin times nu^j, nu^2 times the
+    residual at a node is H'' + nu^2 H, and Cramer's rule solves the 2x2
+    system.  The step matrix is [[N, nu P], [nu Q, N]] / D with determinant
+    1, and D has positive coefficients, so no step with nu > 0 is singular.
+    """
+    den = np.array([Fraction(1, 4 ** (2 * m + 1 - d)) for d in range(3)])
+    rows = basis_numerators(m)[:2] * den[:, None]
+    f0, f1 = Fraction(0), Fraction(1)
+    zero, one = LocalTaylor(0, (f0,) * (m + 1)), LocalTaylor(0, (f1,) + (f0,) * m)
+    cos, sin = (np.array(ode_taylor(zero, one, zero, *y, m).coeffs) for y in ((f1, f0), (f0, f1)))
 
-    return OdeProblem(zero, one, zero, (0.0, 4 * math.pi), 1.0, 0.0, m, tol)
+    def residuals(cols, t):
+        """nu^2 times the residual at s = 1/4, 3/4 of the blend with t_j nu^j in cols."""
+        h, h2 = (rows[:, d, cols] * t for d in (0, 2))
+        return [P.polyadd(h2[i], np.r_[0, 0, h[i]]) for i in range(2)]
+
+    def cross(u, v):
+        return P.polysub(P.polymul(u[0], v[1]), P.polymul(v[0], u[1]))
+
+    left, right = slice(0, m + 1), slice(m + 1, None)
+    c, s, lc, ls = (residuals(cols, t) for cols in (right, left) for t in (cos, sin))
+    # cross(c, s) and cross(s, lc) are odd in nu, the other two nu^2 times even
+    return cross(s, lc)[1::2], cross(c, s)[1::2], cross(s, ls)[2::2], cross(lc, c)[2::2]
+
+
+@lru_cache(maxsize=None)
+def _sho_floats(m: int) -> tuple:
+    return tuple(np.array(c, dtype=float) for c in _sho_rationals(m))
 
 
 def sho_step_matrix(m: int, nu: float) -> np.ndarray:
-    """The 2x2 matrix mapping (y, y') across one collocation step for y'' + y = 0."""
+    """The 2x2 matrix mapping (y, y') across one collocation step for y'' + y = 0.
+
+    The grade's exact step rationals evaluated in double; M[1, 1] is M[0, 0].
+    """
     if m < 1:
         raise ValueError("m must be at least 1")
     if not nu > 0:
         raise ValueError("nu must be positive")
-    problem = _sho_problem(m)
-    z0, z1 = 0.0 + 0j, nu + 0j
-    cols = []
-    for y0, y1 in ((1.0, 0.0), (0.0, 1.0)):
-        known = ode_taylor(
-            zero_series(z0, m),
-            LocalTaylor(z0, (1.0 + 0j,) + (0j,) * m),
-            zero_series(z0, m),
-            y0,
-            y1,
-            m,
-        )
-        result, _, _ = _collocate(problem, z0, z1, known)
-        if result is None:
-            raise SolveError(f"singular collocation system at nu={nu!r}")
-        cols.append((result.coeffs[0], result.coeffs[1]))
-    return np.array([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+    n, d, p, q = (P.polyval(nu * nu, c) for c in _sho_floats(m))
+    return np.array([[n / d, nu * p / d], [nu * q / d, n / d]], dtype=complex)
 
 
 def sho_amplification(m: int, nu: float) -> tuple:
@@ -416,55 +432,41 @@ def sho_amplification(m: int, nu: float) -> tuple:
     and |S_m| is returned as sqrt of its absolute value.
     """
     M = sho_step_matrix(m, nu)
-    C = (M[0, 0].real + M[1, 1].real) / 2.0
     prod = (-M[0, 1] * M[1, 0]).real
-    S = math.copysign(math.sqrt(abs(prod)), M[0, 1].real)
-    return C, S
+    return M[0, 0].real, math.copysign(math.sqrt(abs(prod)), M[0, 1].real)
 
 
-def stability_threshold(m: int, tol: float = 1e-8) -> float:
-    """Smallest positive nu with C_m(nu)^2 = 1, located by scan plus bisection.
+def stability_threshold(m: int) -> float:
+    """Smallest positive nu with C_m(nu)^2 = 1, the onset of instability.
 
-    Supported for 1 <= m <= 6.  The primary scan walks nu in steps of
-    pi/1000 across (0, 4*pi]; if the sign change is narrower than that (the
-    windows shrink rapidly with m) a fine scan near pi is tried before
-    giving up.
+    C_m^2 - 1 = (N - D)(N + D) / D^2 in x = nu^2.  The first root of
+    (N - D)(N + D) / x in (0, (4 pi)^2] is bracketed to 2^-60 by bisection on
+    dyadic rationals, each half tested by an exact Sturm count (Basu, Pollack
+    & Roy, Algorithms in Real Algebraic Geometry, section 2.2), so no
+    instability window is too narrow to find.  Supported for 1 <= m <= 6.
     """
     if not 1 <= m <= 6:
         raise ValueError("stability_threshold supports 1 <= m <= 6")
+    n, d = _sho_rationals(m)[:2]
+    seq = [np.trim_zeros(P.polymul(P.polysub(n, d), P.polyadd(n, d)), "f")]
+    seq.append(P.polyder(seq[0]))
+    while len(seq[-1]) > 1 and any(rem := P.polydiv(seq[-2], seq[-1])[1]):
+        seq.append(-rem)
+    # at x = k / 2^e each c(x) has the sign of the integer 2^(e deg) lcm c(x)
+    e, ints = 60, []
+    for c in seq:
+        c = c * math.lcm(*(a.denominator for a in c))
+        ints.append(np.array([int(a) << e * (len(c) - 1 - i) for i, a in enumerate(c)], object))
 
-    def excess(nu: float) -> float:
-        c, _ = sho_amplification(m, nu)
-        return c * c - 1.0
+    def variations(k: int) -> int:
+        vals = [v for v in (P.polyval(k, c) for c in ints) if v]
+        return sum((u > 0) != (v > 0) for u, v in zip(vals, vals[1:]))
 
-    bracket = None
-    coarse = math.pi / 1000.0
-    prev = coarse
-    k = 1
-    while k * coarse <= 4 * math.pi:
-        nu = k * coarse
-        if excess(nu) > 0:
-            bracket = (prev, nu)
-            break
-        prev = nu
-        k += 1
-    if bracket is None:
-        lo = 0.999 * math.pi
-        fine = math.pi * 1e-6
-        prev = lo
-        for j in range(1, 4001):
-            nu = lo + j * fine
-            if excess(nu) > 0:
-                bracket = (prev, nu)
-                break
-            prev = nu
-    if bracket is None:
+    lo, hi = 0, int((4 * math.pi) ** 2 * 2**e)
+    v0 = variations(0)  # also the count at lo: no root lies in (0, lo]
+    if variations(hi) == v0:
         raise SolveError(f"no instability onset found in (0, 4*pi) for m={m}")
-    lo, hi = bracket
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    while hi - lo > 1:  # the first root lies in (lo, hi]
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if variations(mid) < v0 else (mid, hi)
+    return math.sqrt(hi / 2**e)

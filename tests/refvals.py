@@ -35,6 +35,18 @@ SHO_COSINE_RATIONALS = {
 # first positive zero of C_m^2 - 1 as a fraction of pi
 STABILITY_THRESHOLDS = {1: 0.94035, 2: 0.99817, 3: 0.99997}
 
+# the same onsets for m = 1..6 to 12 digits, from sho_onset_over_pi below
+# (mpmath 1.3.0, under 1 s for all six); the window of instability that
+# each opens is 1.4e-6 * pi wide for m = 5 and 2.6e-8 * pi for m = 6
+STABILITY_ONSETS = {
+    1: 0.940349723612,
+    2: 0.998172510910,
+    3: 0.999971874841,
+    4: 0.999999900021,
+    5: 1.000000005032,
+    6: 1.000000000125,
+}
+
 # integral of the reciprocal gamma function over [-3, 0]:
 # value of the grade-7 blend quadrature, and an independent reference
 RECIP_GAMMA_BLEND_INTEGRAL = -0.606607588783124
@@ -78,3 +90,51 @@ def exact_basis_rows(m: int) -> tuple:
     return tuple(
         tuple(tuple(c[node][order] for c in cols) for order in range(3)) for node in range(3)
     )
+
+
+def sho_onset_over_pi(m: int):
+    """First positive zero of C_m^2 - 1 over pi, from exact_basis_rows and mpmath.polyroots.
+
+    One grade-m collocation step of y'' + y = 0 over [0, nu], built in 200-bit
+    mpmath as the solver builds it: the blend of (1, 0) Taylor data at 0
+    against zero data is L, the blends of zero data against cos and sin
+    series at nu are C and S, and A C + B S + L has zero residual at s = 1/4
+    and 3/4.  Times nu^2, each residual is a polynomial in nu (H'' + nu^2 H,
+    with coefficient j of each series scaled by nu^j).  By Cramer's rule the
+    step's diagonal entry is N / D with N = s1 l2 - l1 s2 and D = c1 s2 - s1 c2.
+    N^2 - D^2 is x^2 g(x) in x = nu^2 (N and D are odd in nu, and C_m(0) = 1),
+    and nu*^2 is the smallest positive root of g.
+    """
+    rows = exact_basis_rows(m)
+    with mpmath.workprec(200):
+        cos = [(-1) ** (j // 2) / mpmath.factorial(j) * (j % 2 == 0) for j in range(m + 1)]
+        sin = [(-1) ** (j // 2) / mpmath.factorial(j) * (j % 2) for j in range(m + 1)]
+
+        def residuals(off, t):
+            out = []
+            for node in (0, 1):
+                r = [mpmath.mpf(0)] * (m + 3)
+                for j in range(m + 1):
+                    r[j] += rows[node][2][off + j] * t[j]
+                    r[j + 2] += rows[node][0][off + j] * t[j]
+                out.append(r)
+            return out
+
+        def mul(a, b):
+            out = [mpmath.mpf(0)] * (len(a) + len(b) - 1)
+            for i, u in enumerate(a):
+                for j, v in enumerate(b):
+                    out[i + j] += u * v
+            return out
+
+        def cross(u, v):
+            return [a - b for a, b in zip(mul(u[0], v[1]), mul(v[0], u[1]))]
+
+        c, s, lc = residuals(m + 1, cos), residuals(m + 1, sin), residuals(0, cos)
+        n, d = cross(s, lc), cross(c, s)
+        f = [a - b for a, b in zip(mul(n, n), mul(d, d))]
+        while not f[-1]:
+            f.pop()
+        roots = mpmath.polyroots(f[:3:-2], maxsteps=500, extraprec=400)
+        x = min(r.real for r in roots if r.real > 0 and abs(r.imag) <= 1e-40 * r.real)
+        return mpmath.sqrt(x) / mpmath.pi

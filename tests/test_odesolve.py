@@ -1,14 +1,18 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from refvals import (
     COLLOCATION_NODES,
     SHO_COSINE_RATIONALS,
+    STABILITY_ONSETS,
     STABILITY_THRESHOLDS,
     exact_basis_rows,
+    sho_onset_over_pi,
 )
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
@@ -136,6 +140,44 @@ def test_stability_threshold_bad_grade():
         stability_threshold(0)
     with pytest.raises(ValueError):
         stability_threshold(7)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_stability_threshold_matches_exact_onset(m):
+    # m = 5 and 6 open windows narrower than a pi/1000 scan step
+    assert stability_threshold(m) / math.pi == pytest.approx(STABILITY_ONSETS[m], rel=1e-10)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_stability_onsets_regenerate(m):
+    assert float(sho_onset_over_pi(m)) == pytest.approx(STABILITY_ONSETS[m], abs=5e-13)
+
+
+def test_sho_step_rationals_are_exact():
+    for m in range(1, 7):
+        n, d, p, q = odesolve._sho_rationals(m)
+        # det M = (N^2 - x P Q) / D^2 = 1, and D > 0 for x >= 0
+        det_num = P.polysub(P.polymul(n, n), P.polymulx(P.polymul(p, q)))
+        assert not any(P.polysub(det_num, P.polymul(d, d)))
+        assert all(c > 0 for c in d)
+    for m, rational in SHO_COSINE_RATIONALS.items():
+        n, d = odesolve._sho_rationals(m)[:2]
+        # both sides are ratios of degree m+1 in x, so 2m+5 points decide
+        for k in range(1, 2 * m + 6):
+            nu = Fraction(k, 3)
+            assert P.polyval(nu * nu, n) / P.polyval(nu * nu, d) == rational(nu)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_sho_step_matrix_matches_marcher_step(m):
+    for nu in (0.3, 1.7, 3.0):
+        M = sho_step_matrix(m, nu)
+        assert M[1, 1] == M[0, 0]
+        for col, (y0, y1) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+            p = OdeProblem(ZERO, ONE, ZERO, (0.0, 4 * math.pi), y0, y1, m, 1.0)
+            _, result, _ = step(p, 0.0, initial_series(p), nu)
+            assert abs(result.coeffs[0] - M[0, col]) <= 1e-12
+            assert abs(result.coeffs[1] - M[1, col]) <= 1e-12
 
 
 def test_instability_window_m3():
