@@ -74,7 +74,7 @@ from .series import (
     one_series,
     zero_series,
 )
-from .special import digamma, hurwitz_zeta, recip_gamma_oracle, recip_gamma_series
+from .special import hurwitz_zeta, recip_gamma_oracle, recip_gamma_series
 
 __version__ = "0.1.0"
 
@@ -103,7 +103,6 @@ __all__ = [
     "compose",
     "constant_oracle",
     "cos_oracle",
-    "digamma",
     "div",
     "double_point",
     "even_characteristic_values",

@@ -48,7 +48,7 @@ def _all_finite(x) -> bool:
         return bool(np.all(np.isfinite(x)))
     except TypeError:
         try:
-            return math.isfinite(float(abs(x)))
+            return all(math.isfinite(float(abs(v))) for v in np.ravel(x))
         except (OverflowError, ValueError):
             return False
 
@@ -78,11 +78,6 @@ class Blend:
     def n(self) -> int:
         return self.right.grade
 
-    @property
-    def span(self):
-        """b - a, the affine factor between z-space and s-space."""
-        return self.right.knot - self.left.knot
-
     @cached_property
     def qalt(self) -> tuple:
         """The q_j with the (-1)^j sign of the blend formula folded in."""
@@ -92,15 +87,14 @@ class Blend:
     def from_taylor(cls, left: LocalTaylor, right: LocalTaylor) -> "Blend":
         """Build the blend of two z-space Taylor records over [left.knot, right.knot]."""
         d = right.knot - left.knot
-        p, dj = [], 1.0
-        for c in left.coeffs:
-            p.append(c * dj)
-            dj = dj * d
-        q, dj = [], 1.0
-        for c in right.coeffs:
-            q.append(c * dj)
-            dj = dj * d
-        return cls(LocalTaylor(left.knot, p), LocalTaylor(right.knot, q))
+        records = []
+        for rec in (left, right):
+            coeffs, dj = [], 1.0
+            for c in rec.coeffs:
+                coeffs.append(c * dj)
+                dj = dj * d
+            records.append(LocalTaylor(rec.knot, coeffs))
+        return cls(*records)
 
 
 def _half_sum(coeffs, other_grade, x):

@@ -68,10 +68,6 @@ class EvalTable:
             lines.append(",".join(_fmt(v) for v in vals))
         return "\n".join(lines) + "\n"
 
-    def save_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(self.to_csv())
-
 
 class _Path:
     """Arrays a blendstring derives from its records, filled on first use.
@@ -217,15 +213,16 @@ class Blendstring:
 
     # -- evaluation ------------------------------------------------------
 
-    def eval(self, z: complex, rtol: float = DISPATCH_RTOL) -> complex:
-        """Value at a single point on (or within rtol of) some segment."""
+    def eval(self, z: complex) -> complex:
+        """Value at a single point on (or within DISPATCH_RTOL of) some segment."""
         if self.segments == 0:
             if z == self.records[0].knot:
                 return self.records[0].coeffs[0]
             raise OffPathError(f"{z!r} is not the single knot of this blendstring")
         path = self._cache()
         s = (complex(z) - path.a) / path.d
-        hit = (np.abs(s.imag) <= rtol) & (s.real >= -rtol) & (s.real <= 1.0 + rtol)
+        tol = DISPATCH_RTOL
+        hit = (np.abs(s.imag) <= tol) & (s.real >= -tol) & (s.real <= 1.0 + tol)
         k = int(hit.argmax())
         if not hit[k]:
             raise OffPathError(f"{z!r} lies on no segment of this blendstring")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .blendstring import Blendstring, _fmt
 from .errors import BlendsError
-from .functions import constant_oracle, get_oracle
+from .functions import constant_oracle, get_oracle, poly_oracle, zero_oracle
 from .mathieu import (
     generalized_eigenfunction,
     mathieu_operator,
@@ -86,18 +86,9 @@ def _write(path: str | None, text: str) -> None:
 def _equation_oracles(spec: dict):
     name = spec.get("name")
     if name == "sho":
-        zero = constant_oracle(0.0)
-        return zero, constant_oracle(1.0), zero
+        return zero_oracle, constant_oracle(1.0), zero_oracle
     if name == "airy":
-        zero = constant_oracle(0.0)
-
-        def bcoef(point, grade):
-            out = [-complex(point)] + [0j] * grade
-            if grade >= 1:
-                out[1] = -1.0 + 0j
-            return out
-
-        return zero, bcoef, zero
+        return zero_oracle, poly_oracle((0, -1)), zero_oracle
     if name == "mathieu":
         if "a" not in spec or "q" not in spec:
             raise ValueError("mathieu equation needs parameters a and q")
@@ -226,7 +217,6 @@ def _cmd_mathieu_demo(args) -> int:
     table = u.deval(nder=2)
     _write(args.out, table.to_csv())
     ce_end = modified_endpoint(a, q, args.xi0, args.grade, args.tol)
-    pts = table.points
     vals = table.derivatives(0)
     scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
     summary = (
@@ -244,9 +234,6 @@ def _cmd_mathieu_demo(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--tol", type=float, default=1e-10)
-    common.add_argument("--grade", type=int, default=5)
-    common.add_argument("--format", choices=("doc", "csv"), default="doc")
 
     p = argparse.ArgumentParser(prog="blends", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -255,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("function", help="exp | sin | cos | identity | poly | recip | recip-gamma")
     b.add_argument("--knots", required=True, help="comma-separated knots, e.g. -1,-1/3,1/3,1")
     b.add_argument("--coeffs", default=None, help="polynomial coefficients for poly/recip")
+    b.add_argument("--grade", type=int, default=5)
     b.set_defaults(func=_cmd_build)
 
     d = sub.add_parser("deval", parents=[common], help="evaluate a blendstring everywhere")
@@ -266,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("integrate", parents=[common], help="integrate a blendstring")
     i.add_argument("input")
     i.add_argument("--definite", action="store_true")
+    i.add_argument("--format", choices=("doc", "csv"), default="doc")
     i.set_defaults(func=_cmd_integrate)
 
     s = sub.add_parser("solve", parents=[common], help="march an ODE problem document")
@@ -282,6 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     md.add_argument("--a", required=True)
     md.add_argument("--q", required=True)
     md.add_argument("--xi0", type=float, default=1.485)
+    md.add_argument("--grade", type=int, default=5)
+    md.add_argument("--tol", type=float, default=1e-10)
     md.set_defaults(func=_cmd_mathieu_demo)
     return p
 

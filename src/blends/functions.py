@@ -11,6 +11,7 @@ from typing import Sequence
 
 from .blendstring import Blendstring
 from .errors import OffPathError
+from .series import _quotient
 from .special import recip_gamma_oracle
 
 __all__ = [
@@ -108,13 +109,7 @@ def recip_poly_oracle(coeffs: Sequence[complex]):
         p = base(point, grade)
         if abs(p[0]) == 0:
             raise ZeroDivisionError(f"polynomial vanishes at {point!r}")
-        q = []
-        for j in range(grade + 1):
-            acc = (1.0 + 0j) if j == 0 else 0j
-            for i in range(1, j + 1):
-                acc = acc - p[i] * q[j - i]
-            q.append(acc / p[0])
-        return q
+        return _quotient([1.0 + 0j] + [0j] * grade, p)
 
     return oracle
 

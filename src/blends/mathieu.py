@@ -135,9 +135,7 @@ def generalized_eigenfunction(
     return zip_with(t1, t2, lambda x, y: combine(x, y, -1.0, 1.0))
 
 
-def even_eigenvalue_search(
-    q, a_bracket, grade: int = 12, tol: float = 1e-10, maxiter: int = 100
-):
+def even_eigenvalue_search(q, a_bracket, grade: int = 12, tol: float = 1e-10):
     """Characteristic value of an even pi-periodic solution by shooting.
 
     Root of a -> y'(pi/2; a) for y(0)=1, y'(0)=0, located by a
@@ -160,7 +158,7 @@ def even_eigenvalue_search(
     if fa * fb > 0:
         raise ValueError(f"no sign change of the shooting residual on [{lo}, {hi}]")
     a, b = lo, hi
-    for _ in range(maxiter):
+    for _ in range(100):
         c = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
         if not min(a, b) < c < max(a, b):
             c = 0.5 * (a + b)
@@ -171,7 +169,7 @@ def even_eigenvalue_search(
             b, fb = c, fc
         else:
             a, fa = c, fc
-    raise SolveError(f"shooting search did not converge in {maxiter} iterations")
+    raise SolveError("shooting search did not converge in 100 iterations")
 
 
 # -- independent Fourier-matrix oracle ---------------------------------------

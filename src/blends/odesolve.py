@@ -142,14 +142,6 @@ def initial_series(problem: OdeProblem, at: complex | None = None) -> LocalTaylo
     )
 
 
-def _coeff_values(problem: OdeProblem, z: complex):
-    return (
-        problem.a(z, 0)[0],
-        problem.b(z, 0)[0],
-        problem.g(z, 0)[0],
-    )
-
-
 def _step_series(problem: OdeProblem, z0: complex, z1: complex, known: LocalTaylor):
     """Series at z1 and the blend coefficients of one collocation step.
 
@@ -174,19 +166,18 @@ def _step_series(problem: OdeProblem, z0: complex, z1: complex, known: LocalTayl
     return cser, sser, pser, X
 
 
-def _collocate(problem: OdeProblem, z0: complex, z1: complex, known: LocalTaylor):
-    """One collocation solve over [z0, z1].
+def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, known: LocalTaylor,
+             retries: int = 0):
+    """One collocation step over [z0, z1], logged with length h: (record, series at z1).
 
-    Returns (series at z1, residual sample, noise floor); a singular or
-    ill-conditioned 2x2 system comes back as (None, inf, 0).  The noise
-    floor bounds the residual magnitude produced by mere roundoff in
-    evaluating the blends from their double coefficients: unit roundoff
-    times the summed basis derivative magnitudes weighted by the data
-    magnitudes.  Samples at or below the floor are indistinguishable from a
-    zero residual.
+    A singular or ill-conditioned 2x2 system, or a non-finite sample, gives
+    series None, an infinite residual and a zero floor.  The noise floor
+    bounds the residual that mere roundoff produces in evaluating the blends
+    from their double coefficients; the step is accepted within max(tol, floor).
     """
     m = problem.grade
     d = z1 - z0
+    ad = abs(d)
     cser, sser, pser, X = _step_series(problem, z0, z1, known)
     # the exact basis rows times X gives the blends' values at the nodes,
     # with the dot-product error bound gamma_(K+1) |rows| |X| for K terms,
@@ -195,55 +186,47 @@ def _collocate(problem: OdeProblem, z0: complex, z1: complex, known: LocalTaylor
     ku = (2 * m + 3) * _EPS / 2  # (K+1) u
     V = W @ X
     E = ku / (1 - ku) * (np.abs(W) @ np.abs(X))
-    ad = abs(d)
-
-    def residuals(node: int):
-        """Operator values of C, S and L at a node, with roundoff bounds."""
-        aval, bval, gval = _coeff_values(problem, z0 + _NODES_S[node] * d)
+    # operator values of C, S and L at each node, with roundoff bounds
+    vals, bounds = [], []
+    for node, s in enumerate(_NODES_S):
+        aval, bval, gval = (c(z0 + s * d, 0)[0] for c in (problem.a, problem.b, problem.g))
         v, e = V[node], E[node]
         inhom = np.array([0.0, 0.0, gval])
-        val = v[2] / (d * d) + aval * (v[1] / d) + bval * v[0] - inhom
+        vals.append((v[2] / (d * d) + aval * (v[1] / d) + bval * v[0] - inhom).tolist())
         bound = e[2] / (ad * ad) + abs(aval) * e[1] / ad + abs(bval) * e[0]
-        return zip(val.tolist(), (bound + _EPS * abs(inhom)).tolist())
+        bounds.append((bound + _EPS * abs(inhom)).tolist())
+    (c1, s1, l1), (c2, s2, l2), (cm, sm, lm) = vals
+    (ec1, es1, el1), (ec2, es2, el2), (ecm, esm, elm) = bounds
 
-    (c1, ec1), (s1, es1), (l1, el1) = residuals(0)
-    (c2, ec2), (s2, es2), (l2, el2) = residuals(1)
-
+    result, res, floor = None, math.inf, 0.0
     det = c1 * s2 - s1 * c2
-    if det == 0:
-        return None, math.inf, 0.0
     ninf = max(abs(c1) + abs(s1), abs(c2) + abs(s2))
-    ninf_inv = max(abs(s2) + abs(s1), abs(c2) + abs(c1)) / abs(det)
-    if ninf * ninf_inv > _COND_LIMIT:
-        return None, math.inf, 0.0
-
-    # 2x2 elimination with partial pivoting
-    r1, r2 = (c1, s1, -l1), (c2, s2, -l2)
-    if abs(r2[0]) > abs(r1[0]):
-        r1, r2 = r2, r1
-    f = r2[0] / r1[0]
-    denom = r2[1] - f * r1[1]
-    B = (r2[2] - f * r1[2]) / denom
-    A = (r1[2] - r1[1] * B) / r1[0]
-
-    result = combine(pser, combine(cser, sser, A, B))
-    (rcm, ecm), (rsm, esm), (rlm, elm) = residuals(2)
-    res = abs(rlm + A * rcm + B * rsm)
-    if not math.isfinite(res):
-        return None, math.inf, 0.0
-
-    # noise floor of the sample: evaluation error of the combination plus the
-    # wobble of (A, B) induced by the evaluation errors in the 2x2 system
-    ab = max(abs(A), abs(B))
-    d_ab = ninf_inv * (max(el1, el2) + ab * max(ec1 + es1, ec2 + es2))
-    floor = (
-        elm
-        + abs(A) * ecm
-        + abs(B) * esm
-        + d_ab * (abs(rcm) + abs(rsm))
-        + _EPS * (abs(rlm) + abs(A * rcm) + abs(B * rsm))
-    )
-    return result, res, floor
+    ninf_inv = max(abs(s2) + abs(s1), abs(c2) + abs(c1)) / abs(det) if det else math.inf
+    if ninf * ninf_inv <= _COND_LIMIT:
+        # 2x2 elimination with partial pivoting
+        r1, r2 = (c1, s1, -l1), (c2, s2, -l2)
+        if abs(r2[0]) > abs(r1[0]):
+            r1, r2 = r2, r1
+        f = r2[0] / r1[0]
+        denom = r2[1] - f * r1[1]
+        B = (r2[2] - f * r1[2]) / denom
+        A = (r1[2] - r1[1] * B) / r1[0]
+        sample = abs(lm + A * cm + B * sm)
+        if math.isfinite(sample):
+            result, res = combine(pser, combine(cser, sser, A, B)), sample
+            # noise floor of the sample: evaluation error of the combination plus
+            # the wobble of (A, B) induced by the evaluation errors in the 2x2 system
+            ab = max(abs(A), abs(B))
+            d_ab = ninf_inv * (max(el1, el2) + ab * max(ec1 + es1, ec2 + es2))
+            floor = (
+                elm
+                + abs(A) * ecm
+                + abs(B) * esm
+                + d_ab * (abs(cm) + abs(sm))
+                + _EPS * (abs(lm) + abs(A * cm) + abs(B * sm))
+            )
+    accepted = result is not None and res <= max(problem.tol, floor)
+    return StepRecord(z0, z1, h, res, accepted, retries, floor), result
 
 
 def step(
@@ -264,10 +247,8 @@ def step(
         raise ValueError("h must be positive")
     if known.grade != problem.grade:
         raise ValueError(f"known series has grade {known.grade}, problem has {problem.grade}")
-    z1 = from_knot + h * direction
-    result, res, floor = _collocate(problem, from_knot, z1, known)
-    accepted = result is not None and res <= max(problem.tol, floor)
-    return accepted, result, res
+    rec, result = _attempt(problem, from_knot, from_knot + h * direction, h, known)
+    return rec.accepted, result, rec.residual
 
 
 def _grow(h: float, res: float, tol: float, order: int) -> float:
@@ -296,8 +277,6 @@ def solve_ivp(problem: OdeProblem) -> SolveResult:
     order = 2 * m
     records = [initial_series(problem)]
     steps: list[StepRecord] = []
-    known = records[0]
-    current = problem.path[0]
 
     for w0, w1 in zip(problem.path, problem.path[1:]):
         seglen = abs(w1 - w0)
@@ -307,6 +286,7 @@ def solve_ivp(problem: OdeProblem) -> SolveResult:
         pos = 0.0
         retries = 0
         while pos < seglen:
+            z0 = records[-1].knot
             rem = seglen - pos
             hs = min(h, rem)
             landing = hs >= rem * (1.0 - 1e-14)
@@ -314,27 +294,24 @@ def solve_ivp(problem: OdeProblem) -> SolveResult:
                 hs = rem
                 z1 = w1
             else:
-                z1 = current + hs * direction
-            result, res, floor = _collocate(problem, current, z1, known)
-            teff = max(problem.tol, floor)
-            accepted = result is not None and res <= teff
-            steps.append(StepRecord(current, z1, hs, res, accepted, retries, floor))
-            if accepted:
+                z1 = z0 + hs * direction
+            rec, result = _attempt(problem, z0, z1, hs, records[-1], retries)
+            steps.append(rec)
+            res, teff = rec.residual, max(problem.tol, rec.noise_floor)
+            if rec.accepted:
                 records.append(result)
-                known = result
-                current = z1
                 pos = seglen if landing else pos + hs
                 retries = 0
                 # a sample at the noise floor carries no size information;
                 # grow decisively instead of trusting the ratio
-                grown = 2.0 * hs if res <= floor else _grow(hs, res, teff, order)
+                grown = 2.0 * hs if res <= rec.noise_floor else _grow(hs, res, teff, order)
                 h = min(max(grown, problem.h_min), problem.h_max)
             else:
                 retries += 1
                 h = _shrink(hs, res, teff, order)
                 if h < problem.h_min or retries > _MAX_RETRIES:
                     raise SolveError(
-                        f"step from {current!r} rejected down to h={h:.3e} "
+                        f"step from {z0!r} rejected down to h={h:.3e} "
                         f"(h_min={problem.h_min:.3e}, residual={res:.3e}, "
                         f"tol={problem.tol:.3e}, retries={retries})"
                     )
@@ -355,16 +332,14 @@ def solve_on_mesh(problem: OdeProblem, knots: Sequence[complex]) -> SolveResult:
         raise ValueError("mesh must start at the first waypoint")
     records = [initial_series(problem)]
     steps = []
-    known = records[0]
     for z0, z1 in zip(knots, knots[1:]):
-        result, res, floor = _collocate(problem, z0, z1, known)
-        if result is None or res > max(problem.tol, floor):
+        rec, result = _attempt(problem, z0, z1, abs(z1 - z0), records[-1])
+        if not rec.accepted:
             raise SolveError(
-                f"frozen-mesh step {z0!r} -> {z1!r} has residual {res:.3e} > tol"
+                f"frozen-mesh step {z0!r} -> {z1!r} has residual {rec.residual:.3e} > tol"
             )
-        steps.append(StepRecord(z0, z1, abs(z1 - z0), res, True, 0, floor))
+        steps.append(rec)
         records.append(result)
-        known = result
     return SolveResult(Blendstring(records), tuple(steps))
 
 
@@ -410,12 +385,18 @@ def sho_step_matrix(m: int, nu: float) -> np.ndarray:
     """The 2x2 matrix mapping (y, y') across one collocation step for y'' + y = 0.
 
     The grade's exact step rationals evaluated in double; M[1, 1] is M[0, 0].
+    For x = nu^2 > 1 each polynomial c is evaluated reversed in 1/x, times
+    x^(len(c) - len(D)), so that no power of x overflows.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if not nu > 0:
         raise ValueError("nu must be positive")
-    n, d, p, q = (P.polyval(nu * nu, c) for c in _sho_floats(m))
+    x, polys = nu * nu, _sho_floats(m)
+    if x > 1:
+        n, d, p, q = (P.polyval(1 / x, c[::-1]) * x ** (len(c) - len(polys[1])) for c in polys)
+    else:
+        n, d, p, q = (P.polyval(x, c) for c in polys)
     return np.array([[n / d, nu * p / d], [nu * q / d, n / d]], dtype=complex)
 
 

@@ -112,16 +112,20 @@ def div(x: LocalTaylor, y: LocalTaylor) -> LocalTaylor:
     would need Laurent data, which this package refuses to fabricate.
     """
     _check_compatible(x, y)
-    a, b = x.coeffs, y.coeffs
-    if abs(b[0]) == 0:
+    if abs(y.coeffs[0]) == 0:
         raise SeriesDivisionError("divisor has zero constant term")
+    return LocalTaylor(x.knot, _quotient(x.coeffs, y.coeffs))
+
+
+def _quotient(a, b) -> list:
+    """Coefficients of the series quotient a / b to len(a) terms; b[0] must be nonzero."""
     q = []
     for j in range(len(a)):
         acc = a[j]
         for i in range(1, j + 1):
             acc = acc - b[i] * q[j - i]
         q.append(acc / b[0])
-    return LocalTaylor(x.knot, tuple(q))
+    return q
 
 
 def compose(outer_oracle: SeriesOracle, inner: LocalTaylor) -> LocalTaylor:

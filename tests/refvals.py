@@ -3,6 +3,7 @@
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 
 from blends.blend import Blend, blend_eval_derivs
 from blends.series import LocalTaylor
@@ -77,19 +78,18 @@ COLLOCATION_NODES = (mpmath.mpf(1) / 4, mpmath.mpf(3) / 4, mpmath.mpf(1) / 2)
 def exact_basis_rows(m: int) -> tuple:
     """rows[node][order][col]: H, H', H'' of each basis polynomial, 200 bits.
 
-    Each column is the jet of a grade-(m, m) blend whose coefficient vector
-    (p_0..p_m, q_0..q_m) is the unit vector of that column, evaluated by
-    blend_eval_derivs in 200-bit mpmath at the nodes above.
+    Column j is the jet of the grade-(m, m) blend whose coefficient vector
+    (p_0..p_m, q_0..q_m) is unit vector j, evaluated at the nodes above.  One
+    blend_eval_derivs call in 200-bit mpmath covers all of them: coefficient
+    i is column i of the identity as an object array, and s is a row of the
+    three nodes, so entry [col, node] of each order is that jet.
     """
+    k = 2 * m + 2
     with mpmath.workprec(200):
-        cols = []
-        for col in range(2 * m + 2):
-            unit = [mpmath.mpf(int(i == col)) for i in range(2 * m + 2)]
-            b = Blend(LocalTaylor(0.0, unit[: m + 1]), LocalTaylor(1.0, unit[m + 1 :]))
-            cols.append([blend_eval_derivs(b, s, 2) for s in COLLOCATION_NODES])
-    return tuple(
-        tuple(tuple(c[node][order] for c in cols) for order in range(3)) for node in range(3)
-    )
+        eye = np.array([[[mpmath.mpf(int(i == j))] for j in range(k)] for i in range(k)], object)
+        unit = Blend(LocalTaylor(0.0, eye[: m + 1]), LocalTaylor(1.0, eye[m + 1 :]))
+        jet = blend_eval_derivs(unit, np.array([COLLOCATION_NODES], object), 2)
+    return tuple(tuple(tuple(jet[order][:, node]) for order in range(3)) for node in range(3))
 
 
 def sho_onset_over_pi(m: int):

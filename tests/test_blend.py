@@ -71,6 +71,14 @@ def test_vectorized_eval_matches_scalar():
             assert single[k] == pytest.approx(jets[k][i], rel=1e-12, abs=1e-13)
 
 
+def test_eval_object_array_matches_scalar_calls():
+    # an object array of mpmath scalars evaluates elementwise, as scalars do
+    b = make((mpmath.mpf(1), mpmath.mpf("0.5")), (mpmath.mpf(2), mpmath.mpf(-1)))
+    s = (mpmath.mpf("0.3"), mpmath.mpf("0.5"))
+    vec = blend_eval(b, np.array(s, dtype=object))
+    assert list(vec) == [blend_eval(b, si) for si in s]
+
+
 def test_interpolation_conditions():
     # j-th s-derivative at the ends reproduces the given coefficients
     rng = np.random.default_rng(11)

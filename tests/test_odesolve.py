@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -108,6 +109,18 @@ def test_sho_amplification_small_step_identity():
     assert c == pytest.approx(math.cos(nu), abs=1e-12)
     assert s == pytest.approx(math.sin(nu), abs=1e-12)
     assert abs(c - 1.0) <= 1e-6 and abs(s) <= 2e-3
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_sho_amplification_huge_steps_finite(m):
+    # no power of nu^2 overflows: the step tends to a finite limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [sho_amplification(m, nu) for nu in (1e20, 1e40, 1e80)]
+    for c, s in values:
+        assert math.isfinite(c) and math.isfinite(s)
+        assert c == pytest.approx(values[0][0], rel=1e-14)
+        assert s == pytest.approx(values[0][1], rel=1e-14)
 
 
 def test_sho_step_matrix_structure():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from blends.special import digamma, hurwitz_zeta, recip_gamma_series
+from blends.special import hurwitz_zeta, recip_gamma_series
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -13,11 +13,6 @@ def test_hurwitz_against_scipy_real():
     for s in (2, 3, 5, 9, 14):
         for b in (0.25, 1.0, 2.5, 7.75, 30.0):
             assert hurwitz_zeta(s, b) == pytest.approx(sp.zeta(s, b), rel=1e-14)
-
-
-def test_digamma_against_scipy():
-    for b in (0.5, 1.0, 3.25, 10.0, 2 + 1j, 5 - 3j):
-        assert digamma(b) == pytest.approx(complex(sp.digamma(b)), rel=1e-13)
 
 
 def test_series_at_zero_known_constants():
