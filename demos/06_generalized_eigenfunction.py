@@ -25,7 +25,8 @@ from blends import (
     modified_endpoint,
 )
 
-# locate the double point with the independent Fourier-matrix oracle
+# locate the double point: Newton's method on the continuant of the Fourier
+# recurrence, from a bracket that the Fourier-matrix eigenvalues check
 astar, qstar = double_point()
 print(f"double point: a* = {astar.real:.12f}, q* = {qstar.imag:.12f} i")
 ev = even_characteristic_values(qstar, 4)

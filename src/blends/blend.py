@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -251,28 +253,31 @@ def basis_numerators(m: int) -> np.ndarray:
     return out
 
 
-def blend_integrate(b: Blend):
-    """Exact integral of the blend over s in [0,1].
+@lru_cache(maxsize=None)
+def _integral_weights(m: int, n: int) -> tuple:
+    """Weights of p_0..p_m, q_0..q_n ((-1)^j folded in) in the integral: Fractions, floats.
 
-    Weighted coefficient sums with factorial-ratio weights, accumulated as
-    running products so no individual factorial is ever formed.  The z-space
-    segment integral is span * this value; conversion is the caller's job.
+    w_0 = (g+1)/(m+n+2), w_j = w_(j-1) j (g-j+1) / ((j+1) (m+n-j+2)) with g the side's grade.
     """
-    p, q = b.left.coeffs, b.right.coeffs
-    m, n = b.m, b.n
-    w = (m + 1) / (m + n + 2)
-    acc = w * p[0]
-    for j in range(1, m + 1):
-        w *= j * (m - j + 1) / ((j + 1) * (n + m - j + 2))
-        acc = acc + w * p[j]
-    v = (n + 1) / (m + n + 2)
-    sign = 1.0
-    acc = acc + v * q[0]
-    for j in range(1, n + 1):
-        v *= j * (n - j + 1) / ((j + 1) * (n + m - j + 2))
-        sign = -sign
-        acc = acc + sign * v * q[j]
-    return acc
+    exact = []
+    for side, g in enumerate((m, n)):
+        w = Fraction(g + 1, m + n + 2)
+        for j in range(g + 1):
+            exact.append(-w if side and j % 2 else w)
+            w *= Fraction((j + 1) * (g - j), (j + 2) * (m + n - j + 1))
+    return tuple(exact), tuple(map(float, exact))
+
+
+def blend_integrate(b: Blend):
+    """Exact integral of the blend over s in [0,1]; the z-space integral is span times this.
+
+    Float and complex coefficients take correctly rounded weights, any other
+    type (mpmath, Fraction, int) the exact ones, so wider arithmetic keeps its digits.
+    """
+    coeffs = b.left.coeffs + b.right.coeffs
+    exact, rounded = _integral_weights(b.m, b.n)
+    weights = rounded if np.asarray(coeffs[0]).dtype.kind in "fc" else exact
+    return sum(map(operator.mul, weights, coeffs))
 
 
 def blend_condition_integral(m: int, n: int) -> float:

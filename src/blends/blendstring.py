@@ -359,15 +359,9 @@ class Blendstring:
         for i, (kn, row) in enumerate(zip(knots, coeffs)):
             if not isinstance(row, list) or len(row) != grade + 1:
                 raise DocumentError(f"coefficients[{i}]: expected {grade + 1} entries")
-            recs.append(
-                LocalTaylor(
-                    _read_cplx(kn, f"knots[{i}]"),
-                    tuple(
-                        _read_cplx(c, f"coefficients[{i}][{j}]")
-                        for j, c in enumerate(row)
-                    ),
-                )
-            )
+            knot = _read_cplx(kn, f"knots[{i}]")
+            values = [_read_cplx(c, f"coefficients[{i}][{j}]") for j, c in enumerate(row)]
+            recs.append(LocalTaylor(knot, values))
         try:
             return cls(recs)
         except (CompatibilityError, ValueError) as exc:
@@ -399,8 +393,9 @@ def _fmt(v: float) -> str:
 
 
 def _cplx(c) -> str:
-    c = complex(c)
-    return '{"re": ' + _fmt(c.real) + ', "im": ' + _fmt(c.imag) + "}"
+    c = complex(c)  # json reads a bare -0 as the integer 0, so negative zero is written -0.0
+    re, im = (t if t != "-0" else "-0.0" for t in (_fmt(c.real), _fmt(c.imag)))
+    return '{"re": ' + re + ', "im": ' + im + "}"
 
 
 def _read_cplx(obj, where: str) -> complex:

@@ -50,17 +50,10 @@ def parse_scalar(token: str) -> complex:
     if not m or (m.group("re") is None and m.group("im") is None):
         raise ValueError(f"cannot parse scalar {token!r}")
     re_part = _part(m.group("re")) if m.group("re") else 0.0
-    im_text = m.group("im")
-    if im_text is None:
+    if m.group("im") is None:
         return complex(re_part, 0.0)
-    im_text = im_text[:-1]  # strip i/j
-    if im_text in ("", "+"):
-        im_part = 1.0
-    elif im_text == "-":
-        im_part = -1.0
-    else:
-        im_part = _part(im_text)
-    return complex(re_part, im_part)
+    im_text = m.group("im")[:-1]  # strip i/j; a bare sign means unit size
+    return complex(re_part, _part(im_text + "1" if im_text in ("", "+", "-") else im_text))
 
 
 def parse_scalar_list(text: str) -> list:
@@ -306,10 +299,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BlendsError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (BlendsError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
     except OSError as exc:

@@ -196,31 +196,45 @@ def even_characteristic_values(q, n: int, size: int | None = None) -> np.ndarray
     return np.array(sorted(ev, key=lambda z: z.real)[:n])
 
 
-def double_point(qhat_lo: float = 1.0, qhat_hi: float = 2.0, size: int = 36):
-    """The first coalescence of a_0 and a_2 on the imaginary-q axis.
+def _continuant(a: float, t: float, size: int):
+    """[P, P_a, P_aa, P_t, P_at] for P = det(_even_matrix(i sqrt(t), size) - a I) / prod 4k^2.
 
-    Below the double point the two lowest characteristic values are real and
-    distinct; above it they form a conjugate pair, so the real part of
-    (a_2 - a_0)^2 crosses zero simply and bisects cleanly.  Returns (a*, q*)
-    with q* purely imaginary.
+    The minors obey D_(j+1) = (4j^2 - a) D_j + c_j t D_(j-1) (c_1 = 2, then 1), each carried
+    over prod_(k<j) 4k^2; the derivatives obey that recurrence differentiated termwise.
     """
+    x, r = [-a, -1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]
+    for k in range(1, size):
+        s, c = 4.0 * k * k, 2.0 if k == 1 else 1.0
+        d, ct, extra = s - a, c * t, (0.0, -x[0], -2.0 * x[1], c * r[0], c * r[1] - x[3])
+        x, r = [(d * u + ct * v + e) / s for u, v, e in zip(x, r, extra)], [u / s for u in x]
+    return x
 
-    def gap2(qhat: float) -> float:
-        ev = even_characteristic_values(1j * qhat, 2, size)
-        return ((ev[1] - ev[0]) ** 2).real
 
-    lo, hi = qhat_lo, qhat_hi
-    if not (gap2(lo) > 0 > gap2(hi)):
+def double_point(qhat_lo: float = 1.0, qhat_hi: float = 2.0, size: int = 36):
+    """The first coalescence of a_0 and a_2 on the imaginary-q axis, as (a*, q*).
+
+    Re (a_2 - a_0)^2 must be positive at qhat_lo and negative (a conjugate pair)
+    at qhat_hi: one eigvals call each.  Newton's method then solves P = P_a = 0 for
+    the continuant P(a, qhat^2) (see _continuant) from the midpoint and the mean of
+    the two values there, raising SolveError if qhat leaves the bracket (as from
+    [1, 10]) or 20 steps do not settle it.
+    """
+    lo, hi, mid = qhat_lo, qhat_hi, 0.5 * (qhat_lo + qhat_hi)
+    ev = [even_characteristic_values(1j * x, 2, size) for x in (lo, hi, mid)]
+    gap_lo, gap_hi = (((e[1] - e[0]) ** 2).real for e in ev[:2])
+    if not gap_lo > 0 > gap_hi:
         raise ValueError(f"bracket [{qhat_lo}, {qhat_hi}] does not enclose the double point")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if gap2(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    qhat = 0.5 * (lo + hi)
-    ev = even_characteristic_values(1j * qhat, 2, size)
-    return 0.5 * (ev[0] + ev[1]), 1j * qhat
+    a, t = float(ev[2].mean().real), mid * mid
+    for _ in range(20):
+        p, pa, paa, pt, pat = _continuant(a, t, size)
+        det = pa * pat - pt * paa
+        da, dt = (pt * pa - p * pat) / det, (p * paa - pa * pa) / det
+        a, t = a + da, t + dt
+        if not lo * lo <= t <= hi * hi:
+            raise SolveError(f"Newton left the bracket [{lo}, {hi}] at qhat^2 = {t}")
+        if abs(da) <= 4e-16 * abs(a) and abs(dt) <= 4e-16 * t:
+            return complex(a), 1j * math.sqrt(t)
+    raise SolveError("double-point Newton iteration did not converge in 20 steps")
 
 
 def modified_endpoint(a, q, xi0: float, grade: int = 15, tol: float = 1e-10):

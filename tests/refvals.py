@@ -69,6 +69,15 @@ RECIP_GAMMA_REFERENCE_INTEGRAL = -0.606607588776539
 #     print(complex(w))  # |w| = 11.0918415294913120...
 MODIFIED_ENDPOINT_DOUBLE_POINT_1485 = complex(-8.877018595897027, -6.6503751295281495)
 
+# the same double point (a*, qhat*) to 28 digits, as stored in perfbench/refs.json:
+# mpmath.findroot on P = dP/da = 0 for the size-24 continuant, at 30 digits.
+# Regenerates in under a second:
+#
+#     cd perfbench && python -c "import mpmath as mp, make_refs; mp.mp.dps = 30;
+#         print(*(mp.nstr(x, 28) for x in make_refs.double_point()))"
+DOUBLE_POINT_A = "2.08869890274969540742210705"
+DOUBLE_POINT_QHAT = "1.46876861378514199230729309"
+
 
 # s = 1/4, 3/4, 1/2: the collocation nodes, then the mid-step sample
 COLLOCATION_NODES = (mpmath.mpf(1) / 4, mpmath.mpf(3) / 4, mpmath.mpf(1) / 2)

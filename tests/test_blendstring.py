@@ -440,3 +440,12 @@ def test_mpmath_records_eval_and_integral():
         assert abs(total - (mpmath.e - 1)) <= 1e-9
         with pytest.raises(TypeError, match="mpc"):
             bs.deval(nrefine=2)
+
+
+def test_mpmath_records_integral_uses_exact_weights():
+    # at grade 30 the blend is exact to far below 1e-28 on this path, so only
+    # weights rounded to double could spoil the 30-digit integral
+    with mpmath.workdps(30):
+        knots = [mpmath.mpc(0), mpmath.mpc("0.5", "0.25"), mpmath.mpc(1)]
+        total = _mp_exp_string(knots, 30).definite_integral()
+        assert abs(total - (mpmath.e - 1)) <= 1e-28

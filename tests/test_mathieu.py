@@ -1,9 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from refvals import DOUBLE_POINT_A, DOUBLE_POINT_QHAT
 from scipy.integrate import simpson
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.optimize import brentq
 
 from blends import (
     Blendstring,
@@ -20,6 +23,7 @@ from blends import (
     zero_series,
     zip_with,
 )
+from blends.mathieu import _continuant
 from blends.series import mul
 
 
@@ -168,3 +172,59 @@ def test_modified_endpoint_against_runge_kutta():
     # doubly exponential growth regime has set in, but remains modest at
     # this depth under unit initial data
     assert 1.0 < abs(got) < 1e3
+
+
+@pytest.mark.parametrize("qhat", [0.5, 1.0, 1.4])
+def test_continuant_zeros_are_the_characteristic_values(qhat):
+    size, t = 30, qhat * qhat
+    ev = even_characteristic_values(1j * qhat, 4, size)
+    assert np.max(np.abs(ev.imag)) <= 1e-12  # below the double point all four are real
+    a = np.sort(ev.real)
+    half_gap = 0.5 * np.min(np.diff(a))
+
+    def p(x):
+        return _continuant(x, t, size)[0]
+
+    for ak in a:
+        root = brentq(p, ak - half_gap, ak + half_gap, xtol=1e-14)
+        assert abs(root - ak) <= 1e-10
+
+
+def test_continuant_derivatives_match_central_differences():
+    a, t, size, h = 2.0, 2.1, 36, 1e-5
+    p, pa, paa, pt, pat = _continuant(a, t, size)
+
+    def diff(order, da, dt):
+        up, down = _continuant(a + da, t + dt, size), _continuant(a - da, t - dt, size)
+        return (up[order] - down[order]) / (2 * h)
+
+    pairs = ((pa, diff(0, h, 0)), (paa, diff(1, h, 0)), (pt, diff(0, 0, h)), (pat, diff(1, 0, h)))
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize(
+    "bracket", [(1.0, 2.0, 36), (1.0, 1.5, 30), (1.4, 2.0, 41), (1.2, 1.9, 33)]
+)
+def test_double_point_matches_28_digit_reference(bracket):
+    astar, qstar = double_point(*bracket)
+    with mpmath.workdps(30):
+        a_ref, q_ref = mpmath.mpf(DOUBLE_POINT_A), mpmath.mpf(DOUBLE_POINT_QHAT)
+        assert abs((astar.real - a_ref) / a_ref) <= 4e-16
+        assert abs((qstar.imag - q_ref) / q_ref) <= 4e-16
+    assert astar.imag == 0.0 and qstar.real == 0.0
+
+
+def test_double_point_makes_at_most_three_eigvals_calls(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def spy(matrix):
+        calls.append(matrix.shape)
+        return eigvals(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    for bracket in ((), (1.0, 1.5, 30), (1.4, 2.0, 41)):
+        calls.clear()
+        double_point(*bracket)
+        assert 1 <= len(calls) <= 3
