@@ -347,7 +347,7 @@ class Blendstring:
         if doc.get("format_version") != 1:
             raise DocumentError("format_version: expected 1")
         grade = doc.get("grade")
-        if not isinstance(grade, int) or grade < 0:
+        if type(grade) is not int or grade < 0:
             raise DocumentError("grade: expected a nonnegative integer")
         knots = doc.get("knots")
         if not isinstance(knots, list) or not knots:
@@ -399,10 +399,10 @@ def _cplx(c) -> str:
 
 
 def _read_cplx(obj, where: str) -> complex:
-    if (
-        not isinstance(obj, dict)
-        or not isinstance(obj.get("re"), (int, float))
-        or not isinstance(obj.get("im"), (int, float))
-    ):
+    re, im = (obj.get("re"), obj.get("im")) if isinstance(obj, dict) else (None, None)
+    if type(re) not in (int, float) or type(im) not in (int, float):  # bool is an int subclass
         raise DocumentError(f"{where}: expected an object with re/im numbers")
-    return complex(obj["re"], obj["im"])
+    try:
+        return complex(re, im)
+    except OverflowError as exc:
+        raise DocumentError(f"{where}: number too large for a double") from exc

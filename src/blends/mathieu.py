@@ -216,8 +216,8 @@ def double_point(qhat_lo: float = 1.0, qhat_hi: float = 2.0, size: int = 36):
     Re (a_2 - a_0)^2 must be positive at qhat_lo and negative (a conjugate pair)
     at qhat_hi: one eigvals call each.  Newton's method then solves P = P_a = 0 for
     the continuant P(a, qhat^2) (see _continuant) from the midpoint and the mean of
-    the two values there, raising SolveError if qhat leaves the bracket (as from
-    [1, 10]) or 20 steps do not settle it.
+    the two values there, halving a step that would leave the bracket (as the first
+    from [1, 10] would); SolveError if that fails or 20 steps do not settle it.
     """
     lo, hi, mid = qhat_lo, qhat_hi, 0.5 * (qhat_lo + qhat_hi)
     ev = [even_characteristic_values(1j * x, 2, size) for x in (lo, hi, mid)]
@@ -229,9 +229,13 @@ def double_point(qhat_lo: float = 1.0, qhat_hi: float = 2.0, size: int = 36):
         p, pa, paa, pt, pat = _continuant(a, t, size)
         det = pa * pat - pt * paa
         da, dt = (pt * pa - p * pat) / det, (p * paa - pa * pa) / det
+        for _ in range(60):  # halve a step that leaves the bracket
+            if lo * lo <= t + dt <= hi * hi:
+                break
+            da, dt = 0.5 * da, 0.5 * dt
+        else:
+            raise SolveError(f"Newton cannot stay in the bracket [{lo}, {hi}] from qhat^2 = {t}")
         a, t = a + da, t + dt
-        if not lo * lo <= t <= hi * hi:
-            raise SolveError(f"Newton left the bracket [{lo}, {hi}] at qhat^2 = {t}")
         if abs(da) <= 4e-16 * abs(a) and abs(dt) <= 4e-16 * t:
             return complex(a), 1j * math.sqrt(t)
     raise SolveError("double-point Newton iteration did not converge in 20 steps")

@@ -34,7 +34,7 @@ from numpy.polynomial import polynomial as P
 from .blend import basis_numerators, basis_rows
 from .blendstring import Blendstring
 from .errors import SolveError
-from .series import LocalTaylor, SeriesOracle, combine, ode_taylor, zero_series
+from .series import LocalTaylor, SeriesOracle, _taylor_columns, combine, ode_taylor
 
 __all__ = [
     "OdeProblem",
@@ -151,19 +151,16 @@ def _step_series(problem: OdeProblem, z0: complex, z1: complex, known: LocalTayl
     against pser) as the three columns of X.
     """
     m = problem.grade
-    a1 = LocalTaylor(z1, problem.a(z1, m))
-    b1 = LocalTaylor(z1, problem.b(z1, m))
-    g1 = LocalTaylor(z1, problem.g(z1, m))
-    zs1 = zero_series(z1, m)
-    cser = ode_taylor(a1, b1, zs1, 1.0, 0.0, m)
-    sser = ode_taylor(a1, b1, zs1, 0.0, 1.0, m)
-    pser = ode_taylor(a1, b1, g1, 0.0, 0.0, m)
-    dj = np.cumprod(np.r_[1.0, np.full(m, z1 - z0)])
-    X = np.zeros((2 * m + 2, 3), complex)
-    X[: m + 1, 2] = known.coeffs
-    X[m + 1 :] = np.array([cser.coeffs, sser.coeffs, pser.coeffs]).T
-    X *= np.r_[dj, dj][:, None]
-    return cser, sser, pser, X
+    zero = (0j,) * (m + 1)
+    cols = [(zero, 1.0, 0.0), (zero, 0.0, 1.0), (problem.g(z1, m), 0.0, 0.0)]
+    coeffs = _taylor_columns(problem.a(z1, m), problem.b(z1, m), cols, m)
+    cser, sser, pser = (LocalTaylor(z1, c) for c in coeffs)
+    dj = np.cumprod([1 + 0j] + [z1 - z0] * m)
+    X = np.zeros((2, m + 1, 3), complex)
+    X[0, :, 2] = known.coeffs
+    X[1] = np.array(coeffs).T
+    X *= dj[:, None]
+    return cser, sser, pser, X.reshape(2 * m + 2, 3)
 
 
 def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, known: LocalTaylor,

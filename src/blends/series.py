@@ -164,26 +164,41 @@ def ode_taylor(
 
         (j+2)(j+1) c_{j+2} = g_j - sum_{l<=j} [ a_l (j-l+1) c_{j-l+1} + b_l c_{j-l} ]
 
-    which costs O(grade^2) scalar operations.
+    which costs O(grade^2) scalar operations, O(grade k) if a and b have degree k.
     """
     if grade < 0:
         raise ValueError("grade must be nonnegative")
     if a_series.knot != b_series.knot or a_series.knot != g_series.knot:
         raise CompatibilityError("coefficient series must share a knot")
-    need = max(0, grade - 2)
-    for s, name in ((a_series, "a"), (b_series, "b"), (g_series, "g")):
-        if s.grade < need:
-            raise ValueError(
-                f"{name}-series grade {s.grade} is too small; need at least {need}"
-            )
-    a, b, g = a_series.coeffs, b_series.coeffs, g_series.coeffs
-    c = [0j] * (grade + 1)
-    c[0] = y0 + 0j if isinstance(y0, (int, float)) else y0
-    if grade >= 1:
-        c[1] = y1 + 0j if isinstance(y1, (int, float)) else y1
-    for j in range(grade - 1):
-        acc = g[j]
-        for l in range(j + 1):
-            acc = acc - a[l] * (j - l + 1) * c[j - l + 1] - b[l] * c[j - l]
-        c[j + 2] = acc / ((j + 2) * (j + 1))
+    (c,) = _taylor_columns(a_series.coeffs, b_series.coeffs, [(g_series.coeffs, y0, y1)], grade)
     return LocalTaylor(a_series.knot, tuple(c))
+
+
+def _taylor_columns(a, b, columns, grade: int) -> list:
+    """ode_taylor's coefficients for each column (g, y0, y1) that shares a and b.
+
+    The inner sum stops at the last nonzero coefficient of a and of b, and a
+    column with zero g and data runs none of it.  The terms left out are exact
+    zeros and each l still subtracts its a-term first, so the result equals
+    the full sum's (bar the sign of a zero where g holds a -0.0).
+    """
+    need = max(0, grade - 2)
+    for s, name in ((a, "a"), (b, "b"), *((g, "g") for g, _, _ in columns)):
+        if len(s) <= need:
+            raise ValueError(f"{name}-series grade {len(s) - 1} is too small; need at least {need}")
+    na, nb = (max((l + 1 for l, x in enumerate(s[: grade - 1]) if x), default=0) for s in (a, b))
+    out = []
+    for g, y0, y1 in columns:
+        c = [y + 0j if isinstance(y, (int, float)) else y for y in (y0, y1)][: grade + 1]
+        c += [0j] * (grade - 1)
+        top = max(na, nb) if y0 or y1 or any(g) else 0
+        for j in range(grade - 1):
+            acc = g[j]
+            for l in range(min(j + 1, top)):
+                if l < na:
+                    acc = acc - a[l] * (j - l + 1) * c[j - l + 1]
+                if l < nb:
+                    acc = acc - b[l] * c[j - l]
+            c[j + 2] = acc / ((j + 2) * (j + 1))
+        out.append(c)
+    return out

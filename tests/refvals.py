@@ -147,3 +147,22 @@ def sho_onset_over_pi(m: int):
         roots = mpmath.polyroots(f[:3:-2], maxsteps=500, extraprec=400)
         x = min(r.real for r in roots if r.real > 0 and abs(r.imag) <= 1e-40 * r.real)
         return mpmath.sqrt(x) / mpmath.pi
+
+
+def full_sum_taylor(a, b, g, y0, y1, grade: int) -> list:
+    """Taylor coefficients of y'' + a y' + b y = g with every term of the inner sum.
+
+    A frozen copy of the scalar loop ode_taylor ran before its sums stopped
+    at the last nonzero coefficient of a and b: the reference that
+    ode_taylor and the multi-column recurrence must match bit for bit.
+    """
+    c = [0j] * (grade + 1)
+    c[0] = y0 + 0j if isinstance(y0, (int, float)) else y0
+    if grade >= 1:
+        c[1] = y1 + 0j if isinstance(y1, (int, float)) else y1
+    for j in range(grade - 1):
+        acc = g[j]
+        for l in range(j + 1):
+            acc = acc - a[l] * (j - l + 1) * c[j - l + 1] - b[l] * c[j - l]
+        c[j + 2] = acc / ((j + 2) * (j + 1))
+    return c

@@ -280,6 +280,30 @@ def test_document_errors():
         Blendstring.from_document(json.dumps(doc))
 
 
+def _with_first_coefficient(re):
+    """The exp string's document with coefficients[1][0] set to {"re": re, "im": 0}."""
+    import json
+
+    doc = json.loads(exp_string().to_document())
+    doc["coefficients"][1][0] = {"re": re, "im": 0}
+    return json.dumps(doc)
+
+
+def test_document_integer_too_large_for_a_double():
+    text = _with_first_coefficient(10**399)  # json writes all 400 digits
+    with pytest.raises(DocumentError, match=r"coefficients\[1\]\[0\]"):
+        Blendstring.from_document(text)
+
+
+def test_document_boolean_is_not_a_number():
+    text = _with_first_coefficient(True)  # json writes true
+    with pytest.raises(DocumentError, match=r"coefficients\[1\]\[0\]"):
+        Blendstring.from_document(text)
+    grade1 = exp_string(grade=1).to_document().replace('"grade": 1', '"grade": true')
+    with pytest.raises(DocumentError, match="grade"):
+        Blendstring.from_document(grade1)
+
+
 def test_save_load(tmp_path):
     bs = exp_string()
     path = tmp_path / "exp.blend.json"

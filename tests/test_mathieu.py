@@ -204,7 +204,7 @@ def test_continuant_derivatives_match_central_differences():
 
 
 @pytest.mark.parametrize(
-    "bracket", [(1.0, 2.0, 36), (1.0, 1.5, 30), (1.4, 2.0, 41), (1.2, 1.9, 33)]
+    "bracket", [(1.0, 2.0, 36), (1.0, 1.5, 30), (1.4, 2.0, 41), (1.2, 1.9, 33), (1.0, 10.0, 36)]
 )
 def test_double_point_matches_28_digit_reference(bracket):
     astar, qstar = double_point(*bracket)

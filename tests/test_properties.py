@@ -1,15 +1,31 @@
 """Hypothesis property tests of the algebraic identities the package relies on.
 
 Every test is derandomized, so a run is reproducible and needs no example
-database; the whole file runs in about a second.
+database; the whole file runs in about two seconds.
 """
 
 import math
+from fractions import Fraction
 
-from hypothesis import given, settings
+import mpmath
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from refvals import full_sum_taylor
 
-from blends import Blend, Blendstring, LocalTaylor, blend_eval_derivs, div, mul
+from blends import (
+    Blend,
+    Blendstring,
+    LocalTaylor,
+    blend_eval_derivs,
+    compose,
+    div,
+    exp_oracle,
+    mul,
+    ode_taylor,
+    sin_oracle,
+)
+from blends.series import _taylor_columns
 
 derandomized = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -98,3 +114,70 @@ def test_document_round_trip_is_bit_exact(bs, extremes):
     for r, s in zip(bs.records, back.records):
         assert _bits(complex(r.knot)) == _bits(s.knot)
         assert [_bits(complex(c)) for c in r.coeffs] == [_bits(c) for c in s.coeffs]
+
+
+def zero_tailed(grade):
+    """grade + 1 coefficients, a random number of them (none, some or all) trailing exact zeros."""
+    return st.tuples(coeffs(grade), st.integers(0, grade + 1)).map(
+        lambda t: t[0][: t[1]] + (0j,) * (grade + 1 - t[1])
+    )
+
+
+@st.composite
+def taylor_problems(draw):
+    """Shared a and b, and one to three columns (g, y0, y1), all with random zero tails."""
+    grade = draw(st.integers(0, 12))
+    a, b = draw(zero_tailed(grade)), draw(zero_tailed(grade))
+    data = st.sampled_from([0.0, 1.0, 0j]) | scalars
+    columns = draw(st.lists(st.tuples(zero_tailed(grade), data, data), min_size=1, max_size=3))
+    return grade, a, b, columns
+
+
+# Hypothesis's explain phase takes minutes on a failure of this test; the
+# shrunk counterexample is reported without it
+@settings(derandomized, phases=(Phase.explicit, Phase.generate, Phase.shrink))
+@given(taylor_problems())
+def test_taylor_recurrence_matches_the_full_sum(problem):
+    # the terms the recurrence leaves out are exact zeros; subtracting one
+    # can only turn a -0.0 from g into +0.0, so bits are compared where g
+    # holds no negative zero and values everywhere
+    grade, a, b, columns = problem
+    got = _taylor_columns(a, b, columns, grade)
+    for (g, y0, y1), col in zip(columns, got):
+        want = full_sum_taylor(a, b, g, y0, y1, grade)
+        single = ode_taylor(LocalTaylor(0j, a), LocalTaylor(0j, b), LocalTaylor(0j, g), y0, y1, grade)
+        assert col == list(single.coeffs) == want
+        if not any(math.copysign(1.0, x) < 0 for c in g for x in (c.real, c.imag) if x == 0):
+            assert [_bits(c) for c in col] == [_bits(c) for c in want]
+            assert [_bits(c) for c in single.coeffs] == [_bits(c) for c in want]
+
+
+def test_taylor_recurrence_stays_exact_on_fractions():
+    # y'' + y'/2 + (1 + x/2 + x^2/3) y = 1 + x, and the zero column beside it
+    grade, f = 8, Fraction
+    a = (f(1, 2),) + (f(0),) * grade
+    b = (f(1), f(1, 2), f(1, 3)) + (f(0),) * (grade - 2)
+    g = (f(1), f(1)) + (f(0),) * (grade - 1)
+    zero = (f(0),) * (grade + 1)
+    columns = [(g, f(1), f(-1)), (zero, f(0), f(0))]
+    for (g, y0, y1), col in zip(columns, _taylor_columns(a, b, columns, grade)):
+        assert all(type(c) is Fraction for c in col)
+        assert col == full_sum_taylor(a, b, g, y0, y1, grade)
+
+
+@derandomized
+@given(scalars.map(lambda z: 3 * z), st.integers(0, 12))
+def test_compose_with_the_identity_series_is_the_oracle(knot, grade):
+    identity = LocalTaylor(knot, ((knot, 1.0) + (0j,) * grade)[: grade + 1])
+    got = compose(exp_oracle, identity).coeffs
+    assert [_bits(c) for c in got] == [_bits(complex(c)) for c in exp_oracle(knot, grade)]
+
+
+@pytest.mark.parametrize("grade", [5, 15])
+@pytest.mark.parametrize("knot", [0.4 + 0.3j, -1.2 + 0.7j])
+def test_compose_exp_on_sin_matches_mpmath_taylor(knot, grade):
+    got = compose(exp_oracle, LocalTaylor(knot, sin_oracle(knot, grade))).coeffs
+    with mpmath.workdps(30):
+        want = mpmath.taylor(lambda z: mpmath.exp(mpmath.sin(z)), mpmath.mpc(knot), grade)
+        for c, w in zip(got, want):
+            assert abs(c - w) <= 1e-13 * abs(w)
