@@ -60,7 +60,6 @@ from .odesolve import (
     sho_amplification,
     sho_step_matrix,
     solve_ivp,
-    solve_on_mesh,
     stability_threshold,
     step,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "sho_step_matrix",
     "sin_oracle",
     "solve_ivp",
-    "solve_on_mesh",
     "stability_threshold",
     "step",
     "truncation_factor",

@@ -344,8 +344,8 @@ class Blendstring:
             ) from exc
         if not isinstance(doc, dict):
             raise DocumentError("top level: expected an object")
-        if doc.get("format_version") != 1:
-            raise DocumentError("format_version: expected 1")
+        if type(doc.get("format_version")) is not int or doc["format_version"] != 1:
+            raise DocumentError("format_version: expected the integer 1")
         grade = doc.get("grade")
         if type(grade) is not int or grade < 0:
             raise DocumentError("grade: expected a nonnegative integer")

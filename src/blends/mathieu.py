@@ -20,7 +20,7 @@ import numpy as np
 from .blendstring import Blendstring, zip_with
 from .errors import SolveError
 from .functions import zero_oracle
-from .odesolve import OdeProblem, solve_ivp, solve_on_mesh
+from .odesolve import OdeProblem, _march, initial_series, solve_ivp
 from .series import combine, mul
 
 __all__ = [
@@ -105,15 +105,14 @@ def mathieu_problem(
 def mathieu_pair(params: MathieuParams, grade: int, tol: float):
     """Both independent homogeneous solutions on one shared knot sequence.
 
-    The (1,0) solution is marched adaptively at a quarter of the requested
-    tolerance; the (0,1) solution is then re-solved on the frozen mesh with
-    acceptance checks only, so the two blendstrings come out compatible.
+    The (1,0) and (0,1) solutions are marched together in one adaptive pass
+    at a quarter of the requested tolerance: every step collocates both and
+    is accepted only if both pass, so the two blendstrings share their knots.
     """
-    p1 = mathieu_problem(params, grade, 0.25 * tol, y0=1.0, y1=0.0)
-    r1 = solve_ivp(p1)
-    p2 = mathieu_problem(params, grade, tol, y0=0.0, y1=1.0)
-    r2 = solve_on_mesh(p2, r1.solution.knots)
-    return r1.solution, r2.solution
+    p1, p2 = (mathieu_problem(params, grade, 0.25 * tol, y0=y0, y1=y1)
+              for y0, y1 in ((1.0, 0.0), (0.0, 1.0)))
+    (w1, w2), _ = _march(p1, [initial_series(p1), initial_series(p2)])
+    return w1, w2
 
 
 def generalized_eigenfunction(

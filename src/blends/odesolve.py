@@ -8,12 +8,14 @@ tentative knot z1 = z0 + h*direction works entirely in blend space:
     data sets (1,0) and (0,1), and the particular series with zero data
     (identically zero whenever g is, which recovers the plain blend of the
     known data with the zero series);
- 2. blend the known series at z0 against the particular series, and the zero
-    series at z0 against each homogeneous series;
+ 2. blend each known series at z0 (several solutions can march together on
+    shared knots) against the particular series, and the zero series at z0
+    against each homogeneous series;
  3. collocate: force the residual of y = L + A*C + B*S to vanish at
-    s = 1/4 and s = 3/4 of the step, a 2x2 linear solve;
- 4. sample the combined residual at s = 1/2, asymptotically the location of
-    its maximum, and accept the step iff that sample is within tolerance.
+    s = 1/4 and s = 3/4 of the step, a 2x2 linear solve with one right-hand
+    side per known series;
+ 4. sample each combined residual at s = 1/2, asymptotically the location of
+    its maximum, and accept the step iff every sample is within tolerance.
 
 The step is implicit, of order 2m in the residual, and the accepted solution
 series at z1 is pser + A*cser + B*sser, which by linearity of the Taylor
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -43,7 +44,6 @@ __all__ = [
     "initial_series",
     "step",
     "solve_ivp",
-    "solve_on_mesh",
     "sho_amplification",
     "sho_step_matrix",
     "stability_threshold",
@@ -96,6 +96,8 @@ class StepRecord:
     ``noise_floor`` is the estimated smallest residual sample distinguishable
     from zero at working precision for this step's grade and length; a step
     is accepted when the sample is within tolerance or within that floor.
+    A step that marches several solutions logs the residual and floor of its
+    worst one, the largest sample relative to max(tol, floor).
     """
 
     z_from: complex
@@ -142,13 +144,13 @@ def initial_series(problem: OdeProblem, at: complex | None = None) -> LocalTaylo
     )
 
 
-def _step_series(problem: OdeProblem, z0: complex, z1: complex, known: LocalTaylor):
+def _step_series(problem: OdeProblem, z0: complex, z1: complex, knowns: list):
     """Series at z1 and the blend coefficients of one collocation step.
 
     Returns (cser, sser, pser, X): the homogeneous and particular solution
     series at z1, and the s-space coefficients p_0..p_m, q_0..q_m of the
-    blends C (zero data at z0 against cser), S (against sser) and L (known
-    against pser) as the three columns of X.
+    blends C (zero data at z0 against cser), S (against sser) and one L per
+    known series (known against pser) as the 2 + k columns of X.
     """
     m = problem.grade
     zero = (0j,) * (m + 1)
@@ -156,26 +158,30 @@ def _step_series(problem: OdeProblem, z0: complex, z1: complex, known: LocalTayl
     coeffs = _taylor_columns(problem.a(z1, m), problem.b(z1, m), cols, m)
     cser, sser, pser = (LocalTaylor(z1, c) for c in coeffs)
     dj = np.cumprod([1 + 0j] + [z1 - z0] * m)
-    X = np.zeros((2, m + 1, 3), complex)
-    X[0, :, 2] = known.coeffs
-    X[1] = np.array(coeffs).T
+    X = np.zeros((2, m + 1, 2 + len(knowns)), complex)
+    for j, known in enumerate(knowns, 2):
+        X[0, :, j] = known.coeffs
+    X[1] = np.array(coeffs[:2] + coeffs[2:] * len(knowns)).T
     X *= dj[:, None]
-    return cser, sser, pser, X.reshape(2 * m + 2, 3)
+    return cser, sser, pser, X.reshape(2 * m + 2, -1)
 
 
-def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, known: LocalTaylor,
+def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: list,
              retries: int = 0):
-    """One collocation step over [z0, z1], logged with length h: (record, series at z1).
+    """One collocation step over [z0, z1] from each known series, logged with length h.
 
-    A singular or ill-conditioned 2x2 system, or a non-finite sample, gives
+    Returns (record, series at z1 per known series).  The known series share
+    C, S and the 2x2 system; each adds one right-hand column.  A singular or
+    ill-conditioned 2x2 system, or a non-finite sample in any column, gives
     series None, an infinite residual and a zero floor.  The noise floor
     bounds the residual that mere roundoff produces in evaluating the blends
-    from their double coefficients; the step is accepted within max(tol, floor).
+    from their double coefficients; the step is accepted iff every column's
+    sample is within max(tol, its floor), and the record logs the worst column.
     """
     m = problem.grade
     d = z1 - z0
     ad = abs(d)
-    cser, sser, pser, X = _step_series(problem, z0, z1, known)
+    cser, sser, pser, X = _step_series(problem, z0, z1, knowns)
     # the exact basis rows times X gives the blends' values at the nodes,
     # with the dot-product error bound gamma_(K+1) |rows| |X| for K terms,
     # one more for the rounding of the rows (Higham, section 3.1)
@@ -183,45 +189,53 @@ def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, known: Loc
     ku = (2 * m + 3) * _EPS / 2  # (K+1) u
     V = W @ X
     E = ku / (1 - ku) * (np.abs(W) @ np.abs(X))
-    # operator values of C, S and L at each node, with roundoff bounds
+    # operator values of C, S and each L at each node, with roundoff bounds
     vals, bounds = [], []
     for node, s in enumerate(_NODES_S):
         aval, bval, gval = (c(z0 + s * d, 0)[0] for c in (problem.a, problem.b, problem.g))
         v, e = V[node], E[node]
-        inhom = np.array([0.0, 0.0, gval])
+        inhom = np.array([0.0, 0.0] + [gval] * len(knowns))
         vals.append((v[2] / (d * d) + aval * (v[1] / d) + bval * v[0] - inhom).tolist())
         bound = e[2] / (ad * ad) + abs(aval) * e[1] / ad + abs(bval) * e[0]
         bounds.append((bound + _EPS * abs(inhom)).tolist())
-    (c1, s1, l1), (c2, s2, l2), (cm, sm, lm) = vals
-    (ec1, es1, el1), (ec2, es2, el2), (ecm, esm, elm) = bounds
+    (c1, s1, *l1s), (c2, s2, *l2s), (cm, sm, *lms) = vals
+    (ec1, es1, *el1s), (ec2, es2, *el2s), (ecm, esm, *elms) = bounds
 
     result, res, floor = None, math.inf, 0.0
     det = c1 * s2 - s1 * c2
     ninf = max(abs(c1) + abs(s1), abs(c2) + abs(s2))
     ninf_inv = max(abs(s2) + abs(s1), abs(c2) + abs(c1)) / abs(det) if det else math.inf
     if ninf * ninf_inv <= _COND_LIMIT:
-        # 2x2 elimination with partial pivoting
-        r1, r2 = (c1, s1, -l1), (c2, s2, -l2)
-        if abs(r2[0]) > abs(r1[0]):
-            r1, r2 = r2, r1
-        f = r2[0] / r1[0]
-        denom = r2[1] - f * r1[1]
-        B = (r2[2] - f * r1[2]) / denom
-        A = (r1[2] - r1[1] * B) / r1[0]
-        sample = abs(lm + A * cm + B * sm)
-        if math.isfinite(sample):
-            result, res = combine(pser, combine(cser, sser, A, B)), sample
+        series, worst = [], (-1.0, math.inf, 0.0)  # (sample / max(tol, floor), sample, floor)
+        for l1, l2, lm, el1, el2, elm in zip(l1s, l2s, lms, el1s, el2s, elms):
+            # 2x2 elimination with partial pivoting
+            r1, r2 = (c1, s1, -l1), (c2, s2, -l2)
+            if abs(r2[0]) > abs(r1[0]):
+                r1, r2 = r2, r1
+            f = r2[0] / r1[0]
+            denom = r2[1] - f * r1[1]
+            B = (r2[2] - f * r1[2]) / denom
+            A = (r1[2] - r1[1] * B) / r1[0]
+            sample = abs(lm + A * cm + B * sm)
+            if not math.isfinite(sample):
+                break
+            series.append(combine(pser, combine(cser, sser, A, B)))
             # noise floor of the sample: evaluation error of the combination plus
             # the wobble of (A, B) induced by the evaluation errors in the 2x2 system
             ab = max(abs(A), abs(B))
             d_ab = ninf_inv * (max(el1, el2) + ab * max(ec1 + es1, ec2 + es2))
-            floor = (
+            fl = (
                 elm
                 + abs(A) * ecm
                 + abs(B) * esm
                 + d_ab * (abs(cm) + abs(sm))
                 + _EPS * (abs(lm) + abs(A * cm) + abs(B * sm))
             )
+            ratio = sample / max(problem.tol, fl)
+            if ratio > worst[0]:
+                worst = (ratio, sample, fl)
+        else:
+            result, (_, res, floor) = series, worst
     accepted = result is not None and res <= max(problem.tol, floor)
     return StepRecord(z0, z1, h, res, accepted, retries, floor), result
 
@@ -244,8 +258,8 @@ def step(
         raise ValueError("h must be positive")
     if known.grade != problem.grade:
         raise ValueError(f"known series has grade {known.grade}, problem has {problem.grade}")
-    rec, result = _attempt(problem, from_knot, from_knot + h * direction, h, known)
-    return rec.accepted, result, rec.residual
+    rec, result = _attempt(problem, from_knot, from_knot + h * direction, h, [known])
+    return rec.accepted, None if result is None else result[0], rec.residual
 
 
 def _grow(h: float, res: float, tol: float, order: int) -> float:
@@ -270,9 +284,18 @@ def solve_ivp(problem: OdeProblem) -> SolveResult:
     least 10x less than the order-matched estimate, and a shrink below h_min
     aborts with diagnostics.
     """
+    (solution,), steps = _march(problem, [initial_series(problem)])
+    return SolveResult(solution, steps)
+
+
+def _march(problem: OdeProblem, starts: list) -> tuple:
+    """solve_ivp's march of several start series on shared knots: (blendstrings, steps).
+
+    Each attempt carries every solution, so the most demanding one sets the steps.
+    """
     m = problem.grade
     order = 2 * m
-    records = [initial_series(problem)]
+    rows = [starts]
     steps: list[StepRecord] = []
 
     for w0, w1 in zip(problem.path, problem.path[1:]):
@@ -283,7 +306,7 @@ def solve_ivp(problem: OdeProblem) -> SolveResult:
         pos = 0.0
         retries = 0
         while pos < seglen:
-            z0 = records[-1].knot
+            z0 = rows[-1][0].knot
             rem = seglen - pos
             hs = min(h, rem)
             landing = hs >= rem * (1.0 - 1e-14)
@@ -292,11 +315,11 @@ def solve_ivp(problem: OdeProblem) -> SolveResult:
                 z1 = w1
             else:
                 z1 = z0 + hs * direction
-            rec, result = _attempt(problem, z0, z1, hs, records[-1], retries)
+            rec, result = _attempt(problem, z0, z1, hs, rows[-1], retries)
             steps.append(rec)
             res, teff = rec.residual, max(problem.tol, rec.noise_floor)
             if rec.accepted:
-                records.append(result)
+                rows.append(result)
                 pos = seglen if landing else pos + hs
                 retries = 0
                 # a sample at the noise floor carries no size information;
@@ -312,32 +335,7 @@ def solve_ivp(problem: OdeProblem) -> SolveResult:
                         f"(h_min={problem.h_min:.3e}, residual={res:.3e}, "
                         f"tol={problem.tol:.3e}, retries={retries})"
                     )
-    return SolveResult(Blendstring(records), tuple(steps))
-
-
-def solve_on_mesh(problem: OdeProblem, knots: Sequence[complex]) -> SolveResult:
-    """March over a frozen knot sequence, accepting only within-tolerance steps.
-
-    Used to produce a solution compatible with an earlier one: no adaptivity,
-    each consecutive knot pair is one step, and a residual above tolerance is
-    an error rather than a retry.
-    """
-    knots = [complex(k) for k in knots]
-    if len(knots) < 2:
-        raise ValueError("mesh needs at least two knots")
-    if knots[0] != problem.path[0]:
-        raise ValueError("mesh must start at the first waypoint")
-    records = [initial_series(problem)]
-    steps = []
-    for z0, z1 in zip(knots, knots[1:]):
-        rec, result = _attempt(problem, z0, z1, abs(z1 - z0), records[-1])
-        if not rec.accepted:
-            raise SolveError(
-                f"frozen-mesh step {z0!r} -> {z1!r} has residual {rec.residual:.3e} > tol"
-            )
-        steps.append(rec)
-        records.append(result)
-    return SolveResult(Blendstring(records), tuple(steps))
+    return [Blendstring(list(col)) for col in zip(*rows)], tuple(steps)
 
 
 # -- harmonic-oscillator step analysis ---------------------------------------

@@ -304,6 +304,13 @@ def test_document_boolean_is_not_a_number():
         Blendstring.from_document(grade1)
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_document_format_version_must_be_the_integer_1(version):
+    text = exp_string().to_document().replace('"format_version": 1', f'"format_version": {version}')
+    with pytest.raises(DocumentError, match="format_version"):
+        Blendstring.from_document(text)
+
+
 def test_save_load(tmp_path):
     bs = exp_string()
     path = tmp_path / "exp.blend.json"

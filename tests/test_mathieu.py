@@ -19,6 +19,7 @@ from blends import (
     mathieu_operator,
     mathieu_pair,
     modified_endpoint,
+    modified_params,
     ordinary_params,
     zero_series,
     zip_with,
@@ -48,9 +49,28 @@ def test_pair_reduces_to_sho():
     assert abs(w1.records[-1].coeffs[0] - 1.0) <= 1e-9
     assert abs(w1.records[-1].coeffs[1]) <= 1e-9
     assert abs(w2.records[-1].coeffs[0]) <= 1e-9
+    assert abs(w2.records[-1].coeffs[1] - 1.0) <= 1e-9
     for x in np.linspace(0, 2 * math.pi, 25):
         assert w1.eval(float(x)) == pytest.approx(math.cos(x), abs=1e-9)
         assert w2.eval(float(x)) == pytest.approx(math.sin(x), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "params, grade, tol",
+    [
+        (ordinary_params(0.5, 0.1), 6, 1e-9),
+        (ordinary_params(2.0, 1.0), 15, 1e-12),
+        (modified_params(0.5, 10.0, 1.5), 6, 1e-6),
+    ],
+    ids=["ordinary_g6", "ordinary_g15", "modified_g6"],
+)
+def test_pair_knot_wronskian(params, grade, tol):
+    # each of these once failed with a frozen-mesh step over tol
+    w1, w2 = mathieu_pair(params, grade, tol)
+    assert w1.compatible(w2)
+    for r1, r2 in zip(w1.records, w2.records):
+        wr = r1.coeffs[0] * r2.coeffs[1] - r1.coeffs[1] * r2.coeffs[0]
+        assert abs(wr - 1.0) <= 10 * tol, (r1.knot, wr)
 
 
 def test_pair_cos_2z():

@@ -26,7 +26,6 @@ from blends import (
     sho_amplification,
     sho_step_matrix,
     solve_ivp,
-    solve_on_mesh,
     stability_threshold,
     step,
 )
@@ -334,17 +333,6 @@ def test_step_log_noise_floor_column():
     col = header.split(",").index("noise_floor")
     assert [float(row.split(",")[col]) for row in rows] == [s.noise_floor for s in r.steps]
     assert all(s.noise_floor > 0 for s in r.steps)
-
-
-def test_solve_on_mesh_compatible():
-    p1 = sho_problem(10, 1e-10)
-    r1 = solve_ivp(p1)
-    p2 = OdeProblem(ZERO, ONE, ZERO, (0.0, 2 * math.pi), 0.0, 1.0, 10, 1e-9)
-    r2 = solve_on_mesh(p2, r1.solution.knots)
-    assert r1.solution.compatible(r2.solution)
-    end = r2.solution.records[-1]
-    assert abs(end.coeffs[0]) <= 1e-9  # sin(2 pi)
-    assert abs(end.coeffs[1] - 1.0) <= 1e-9
 
 
 def _exact_sample(problem, z0, z1, X) -> float:
