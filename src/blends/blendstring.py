@@ -10,6 +10,7 @@ smoothness at the interior knots.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,44 +29,56 @@ __all__ = ["Blendstring", "EvalTable", "zip_with", "DISPATCH_RTOL"]
 DISPATCH_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalTable:
     """Batch evaluation output: points along the path with z-derivatives.
 
-    Every row holds the evaluation point and derivatives 0..nder with
-    respect to z (actual derivatives, not Taylor coefficients).  Points are
-    ordered along the path and each knot appears exactly once.
+    ``points`` (N,) are ordered along the path with each knot exactly once;
+    ``derivs`` (nder+1, N) holds derivatives 0..nder with respect to z
+    (actual derivatives, not Taylor coefficients).  Both are read-only
+    complex arrays, and tables compare equal when they match bit for bit.
     """
 
-    rows: tuple
-    nder: int
+    points: np.ndarray
+    derivs: np.ndarray
 
     def __post_init__(self):
-        for z, derivs in self.rows:
-            if len(derivs) != self.nder + 1:
-                raise ValueError("every row needs nder+1 derivative entries")
+        points, derivs = np.array(self.points, complex), np.array(self.derivs, complex)
+        if points.ndim != 1 or derivs.shape[1:] != points.shape or not len(derivs):
+            raise ValueError("points must have shape (N,) and derivs (nder+1, N), nder >= 0")
+        points.flags.writeable = derivs.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "derivs", derivs)
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    def __reduce__(self):  # copies and pickles come back read-only too
+        return (EvalTable, (self.points, self.derivs))
 
     @property
-    def points(self) -> np.ndarray:
-        return np.array([z for z, _ in self.rows], dtype=complex)
+    def nder(self) -> int:
+        return len(self.derivs) - 1
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EvalTable) and self.derivs.shape == other.derivs.shape and (
+            self.points.tobytes() + self.derivs.tobytes()
+            == other.points.tobytes() + other.derivs.tobytes()
+        )
+
+    @property
+    def rows(self) -> tuple:
+        """(z, (d0, ..., d_nder)) per point, as Python complex numbers."""
+        return tuple(zip(self.points.tolist(), map(tuple, self.derivs.T.tolist())))
 
     def derivatives(self, order: int = 0) -> np.ndarray:
-        return np.array([d[order] for _, d in self.rows], dtype=complex)
+        return self.derivs[order]
 
     def to_csv(self) -> str:
-        cols = ["re_z", "im_z"]
-        for k in range(self.nder + 1):
-            cols += [f"re_d{k}", f"im_d{k}"]
-        lines = [",".join(cols)]
-        for z, derivs in self.rows:
-            vals = [z.real, z.imag]
-            for d in derivs:
-                d = complex(d)
-                vals += [d.real, d.imag]
-            lines.append(",".join(_fmt(v) for v in vals))
+        cols = ["re_z", "im_z"] + [f"{p}_d{k}" for k in range(self.nder + 1) for p in ("re", "im")]
+        table = np.vstack([self.points, self.derivs])
+        vals = np.stack([table.real, table.imag], axis=1).reshape(-1, len(self)).T
+        lines = [",".join(cols)] + [",".join(map(_fmt, row)) for row in vals.tolist()]
         return "\n".join(lines) + "\n"
 
 
@@ -247,12 +260,8 @@ class Blendstring:
             raise ValueError("nrefine and nder must be nonnegative")
         if self.segments == 0:
             r = self.records[0]
-            derivs, fact = [], 1
-            for k in range(nder + 1):
-                if k > 1:
-                    fact *= k
-                derivs.append(fact * r.coeffs[k] if k <= r.grade else 0j)
-            return EvalTable(((r.knot, tuple(derivs)),), nder)
+            derivs = [[math.factorial(k) * c] for k, c in enumerate(r.coeffs[: nder + 1])]
+            return EvalTable([r.knot], derivs + [[0j]] * (nder + 1 - len(derivs)))
         path = self._cache()
         P, Q = path.scaled()
         # one blend whose coefficients are (segments, 1) columns, evaluated at
@@ -270,8 +279,7 @@ class Blendstring:
             scale = scale * d
         pts = _along(pts)
         pts[-1] = self.records[-1].knot
-        derivs = np.stack(zjets, axis=1).astype(complex).tolist()
-        return EvalTable(tuple(zip(pts.tolist(), map(tuple, derivs))), nder)
+        return EvalTable(pts, zjets)
 
     # -- algebra ----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blendstring import Blendstring, _fmt
+from .blendstring import Blendstring, _fmt, _read_cplx
 from .errors import BlendsError
 from .functions import constant_oracle, get_oracle, poly_oracle, zero_oracle
 from .mathieu import (
@@ -76,7 +76,9 @@ def _write(path: str | None, text: str) -> None:
 # -- equation registry for problem documents ---------------------------------
 
 
-def _equation_oracles(spec: dict):
+def _equation_oracles(spec):
+    if not isinstance(spec, dict):
+        raise ValueError("problem file: equation must be an object")
     name = spec.get("name")
     if name == "sho":
         return zero_oracle, constant_oracle(1.0), zero_oracle
@@ -85,27 +87,29 @@ def _equation_oracles(spec: dict):
     if name == "mathieu":
         if "a" not in spec or "q" not in spec:
             raise ValueError("mathieu equation needs parameters a and q")
-        return mathieu_operator(_doc_scalar(spec["a"]), _doc_scalar(spec["q"]))
+        return mathieu_operator(*(_doc_scalar(spec[k], f"equation.{k}") for k in "aq"))
     if name == "constant-coefficient":
         for key in ("a", "b", "g"):
             if key not in spec:
                 raise ValueError("constant-coefficient equation needs a, b and g")
-        return (
-            constant_oracle(_doc_scalar(spec["a"])),
-            constant_oracle(_doc_scalar(spec["b"])),
-            constant_oracle(_doc_scalar(spec["g"])),
-        )
+        return tuple(constant_oracle(_doc_scalar(spec[k], f"equation.{k}")) for k in "abg")
     raise ValueError(f"unknown equation {name!r}")
 
 
-def _doc_scalar(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
+def _doc_scalar(obj, where: str) -> complex:
+    if isinstance(obj, dict):
+        return _read_cplx(obj, where)
     if isinstance(obj, str):
         return parse_scalar(obj)
-    if isinstance(obj, dict) and "re" in obj and "im" in obj:
-        return complex(obj["re"], obj["im"])
-    raise ValueError(f"cannot read scalar {obj!r}")
+    if type(obj) not in (int, float):  # bool is an int subclass
+        raise ValueError(f"{where}: cannot read scalar {obj!r}")
+    return complex(obj)
+
+
+def _doc_real(doc: dict, key: str) -> float:
+    if type(doc[key]) not in (int, float):
+        raise ValueError(f"problem file: {key} must be a number")
+    return float(doc[key])
 
 
 def load_problem(text: str) -> OdeProblem:
@@ -119,15 +123,15 @@ def load_problem(text: str) -> OdeProblem:
         if key not in doc:
             raise ValueError(f"problem file: missing field {key!r}")
     aorc, borc, gorc = _equation_oracles(doc["equation"])
-    path = [_doc_scalar(w) for w in doc["path"]]
-    kwargs = {}
-    for key in ("h_init", "h_min", "h_max"):
-        if key in doc and doc[key] is not None:
-            kwargs[key] = float(doc[key])
+    if not isinstance(doc["path"], list):
+        raise ValueError("problem file: path must be a list of scalars")
+    path = [_doc_scalar(w, f"path[{i}]") for i, w in enumerate(doc["path"])]
+    if type(doc["grade"]) is not int:
+        raise ValueError("problem file: grade must be an integer")
+    kwargs = {k: _doc_real(doc, k) for k in ("h_init", "h_min", "h_max") if doc.get(k) is not None}
     return OdeProblem(
-        aorc, borc, gorc, path,
-        _doc_scalar(doc["y0"]), _doc_scalar(doc["y1"]),
-        int(doc["grade"]), float(doc["tol"]), **kwargs,
+        aorc, borc, gorc, path, _doc_scalar(doc["y0"], "y0"), _doc_scalar(doc["y1"], "y1"),
+        doc["grade"], _doc_real(doc, "tol"), **kwargs,
     )
 
 

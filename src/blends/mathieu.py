@@ -86,20 +86,9 @@ def mathieu_operator(a, q):
     return zero_oracle, bcoef, zero_oracle
 
 
-def mathieu_problem(
-    params: MathieuParams,
-    grade: int,
-    tol: float,
-    y0=1.0,
-    y1=0.0,
-    g=None,
-    **kwargs,
-) -> OdeProblem:
-    aorc, borc, zero = mathieu_operator(params.a, params.q)
-    return OdeProblem(
-        aorc, borc, g if g is not None else zero,
-        params.path, y0, y1, grade, tol, **kwargs,
-    )
+def mathieu_problem(params: MathieuParams, grade: int, tol: float, y0=1.0, y1=0.0) -> OdeProblem:
+    """The homogeneous Mathieu problem along params.path with data y(0) = y0, y'(0) = y1."""
+    return OdeProblem(*mathieu_operator(params.a, params.q), params.path, y0, y1, grade, tol)
 
 
 def mathieu_pair(params: MathieuParams, grade: int, tol: float):
@@ -134,18 +123,20 @@ def generalized_eigenfunction(
     return zip_with(t1, t2, lambda x, y: combine(x, y, -1.0, 1.0))
 
 
-def even_eigenvalue_search(q, a_bracket, grade: int = 12, tol: float = 1e-10):
+def even_eigenvalue_search(q, a_bracket):
     """Characteristic value of an even pi-periodic solution by shooting.
 
     Root of a -> y'(pi/2; a) for y(0)=1, y'(0)=0, located by a
-    secant/bisection hybrid inside the given real bracket.  Intended for
-    real q, where the shooting function is real.
+    secant/bisection hybrid inside the given real bracket.  Each shot is a
+    grade-12 march at tol 1e-10, and the search stops once the residual is
+    below 1e-10 times its size at the bracket ends.  Intended for real q,
+    where the shooting function is real.
     """
     lo, hi = float(a_bracket[0]), float(a_bracket[1])
 
     def shoot(a: float) -> float:
         params = MathieuParams(a, complex(q), (0j, math.pi / 2 + 0j))
-        sol = solve_ivp(mathieu_problem(params, grade, tol)).solution
+        sol = solve_ivp(mathieu_problem(params, 12, 1e-10)).solution
         return sol.records[-1].coeffs[1].real
 
     fa, fb = shoot(lo), shoot(hi)
@@ -162,7 +153,7 @@ def even_eigenvalue_search(q, a_bracket, grade: int = 12, tol: float = 1e-10):
         if not min(a, b) < c < max(a, b):
             c = 0.5 * (a + b)
         fc = shoot(c)
-        if abs(fc) < tol * scale or abs(b - a) < 1e-14 * max(1.0, abs(c)):
+        if abs(fc) < 1e-10 * scale or abs(b - a) < 1e-14 * max(1.0, abs(c)):
             return c
         if fa * fc < 0:
             b, fb = c, fc
@@ -214,16 +205,16 @@ def double_point(qhat_lo: float = 1.0, qhat_hi: float = 2.0, size: int = 36):
 
     Re (a_2 - a_0)^2 must be positive at qhat_lo and negative (a conjugate pair)
     at qhat_hi: one eigvals call each.  Newton's method then solves P = P_a = 0 for
-    the continuant P(a, qhat^2) (see _continuant) from the midpoint and the mean of
-    the two values there, halving a step that would leave the bracket (as the first
-    from [1, 10] would); SolveError if that fails or 20 steps do not settle it.
+    the continuant P(a, qhat^2) (see _continuant) from the lower end, qhat_lo and
+    the mean of a_0 and a_2 there, halving a step that would leave the bracket;
+    SolveError if that fails or 20 steps do not settle it.
     """
-    lo, hi, mid = qhat_lo, qhat_hi, 0.5 * (qhat_lo + qhat_hi)
-    ev = [even_characteristic_values(1j * x, 2, size) for x in (lo, hi, mid)]
-    gap_lo, gap_hi = (((e[1] - e[0]) ** 2).real for e in ev[:2])
+    lo, hi = qhat_lo, qhat_hi
+    ev_lo, ev_hi = (even_characteristic_values(1j * x, 2, size) for x in (lo, hi))
+    gap_lo, gap_hi = (((e[1] - e[0]) ** 2).real for e in (ev_lo, ev_hi))
     if not gap_lo > 0 > gap_hi:
         raise ValueError(f"bracket [{qhat_lo}, {qhat_hi}] does not enclose the double point")
-    a, t = float(ev[2].mean().real), mid * mid
+    a, t = float(ev_lo.mean().real), lo * lo
     for _ in range(20):
         p, pa, paa, pt, pat = _continuant(a, t, size)
         det = pa * pat - pt * paa

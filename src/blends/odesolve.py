@@ -130,9 +130,9 @@ class SolveResult:
         return "\n".join(lines) + "\n"
 
 
-def initial_series(problem: OdeProblem, at: complex | None = None) -> LocalTaylor:
+def initial_series(problem: OdeProblem) -> LocalTaylor:
     """Grade-m solution series from the initial data via the Taylor recurrence."""
-    z0 = problem.path[0] if at is None else at
+    z0 = problem.path[0]
     m = problem.grade
     return ode_taylor(
         LocalTaylor(z0, problem.a(z0, m)),
@@ -240,14 +240,8 @@ def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: li
     return StepRecord(z0, z1, h, res, accepted, retries, floor), result
 
 
-def step(
-    problem: OdeProblem,
-    from_knot: complex,
-    known: LocalTaylor,
-    h: float,
-    direction: complex = 1.0 + 0j,
-):
-    """One tentative marching step of arclength h.
+def step(problem: OdeProblem, from_knot: complex, known: LocalTaylor, h: float):
+    """One tentative marching step of length h along the positive real direction.
 
     Returns (accepted, series_at_target, residual_sample); a singular or
     ill-conditioned collocation system comes back as a rejection with
@@ -258,13 +252,12 @@ def step(
         raise ValueError("h must be positive")
     if known.grade != problem.grade:
         raise ValueError(f"known series has grade {known.grade}, problem has {problem.grade}")
-    rec, result = _attempt(problem, from_knot, from_knot + h * direction, h, [known])
+    rec, result = _attempt(problem, from_knot, from_knot + complex(h), h, [known])
     return rec.accepted, None if result is None else result[0], rec.residual
 
 
 def _grow(h: float, res: float, tol: float, order: int) -> float:
-    if res == 0 or not math.isfinite(res):
-        return 2.0 * h
+    # only for accepted steps above the noise floor, so 0 < res <= tol
     return h * min(2.0, 0.9 * (tol / res) ** (1.0 / order))
 
 

@@ -10,6 +10,7 @@ from blends import (
     Blendstring,
     CompatibilityError,
     DocumentError,
+    EvalTable,
     OffPathError,
     constant_oracle,
     exp_oracle,
@@ -156,10 +157,9 @@ def test_deval_degenerate_single_knot():
     single = Blendstring.from_oracle([2.0], 2, exp_oracle)
     t = single.deval(nrefine=0, nder=1)
     assert len(t) == 1
-    z, derivs = t.rows[0]
-    assert z == 2.0
-    assert derivs[0] == pytest.approx(math.exp(2.0))
-    assert derivs[1] == pytest.approx(math.exp(2.0))
+    assert t.points[0] == 2.0
+    assert t.derivs[0, 0] == pytest.approx(math.exp(2.0))
+    assert t.derivs[1, 0] == pytest.approx(math.exp(2.0))
 
 
 def test_deval_second_derivative_accuracy():
@@ -380,10 +380,10 @@ def test_deval_layout_and_last_point():
     for nrefine in (0, 1, 5):
         t = bs.deval(nrefine=nrefine, nder=1)
         assert len(t) == bs.segments * (nrefine + 1) + 1
-        assert t.rows[-1][0] == complex(CORNER_KNOTS[-1])
+        assert t.points[-1] == complex(CORNER_KNOTS[-1])
         # every knot appears once, at its own position in path order
         assert list(t.points[:: nrefine + 1]) == [complex(z) for z in CORNER_KNOTS]
-        assert all(isinstance(d, complex) for _, row in t.rows for d in row)
+        assert t.derivs.dtype == complex and t.derivs.shape == (2, len(t))
     t0 = bs.deval(nrefine=0, nder=2)
     want = _per_segment_table(bs, 0, 2)
     scale = np.max(np.abs(want[0]))
@@ -394,10 +394,35 @@ def test_deval_single_segment():
     bs = Blendstring.from_oracle([0.2, 0.2 + 0.9j], 6, exp_oracle)
     t = bs.deval(nrefine=4, nder=2)
     assert len(t) == 6
-    assert t.rows[0][0] == 0.2 and t.rows[-1][0] == 0.2 + 0.9j
+    assert t.points[0] == 0.2 and t.points[-1] == 0.2 + 0.9j
     want = _per_segment_table(bs, 4, 2)
     for order in range(3):
         assert np.allclose(t.derivatives(order), want[order], rtol=1e-13, atol=0)
+
+
+def test_eval_table_holds_read_only_arrays():
+    bs = Blendstring.from_oracle(CORNER_KNOTS, 7, exp_oracle)
+    t = bs.deval(nrefine=3, nder=2)
+    n = 4 * bs.segments + 1
+    assert t.points.shape == (n,) and t.derivs.shape == (3, n) and t.nder == 2 and len(t) == n
+    assert t.points.dtype == complex and t.derivs.dtype == complex
+    for twin in (t, copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin == t
+        for arr in (twin.points, twin.derivs):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    # rows: (z, (d0, d1, d2)) per point in Python complex numbers
+    assert len(t.rows) == n and all(type(v) is complex for z, d in t.rows for v in (z, *d))
+    assert [z for z, _ in t.rows] == list(t.points)
+    assert [d for _, d in t.rows] == [tuple(col) for col in t.derivs.T]
+    # equality is bitwise: negative zero differs, the same NaN matches
+    assert EvalTable([0.0], [[-0.0]]) != EvalTable([0.0], [[0.0]])
+    assert EvalTable([0.0], [[math.nan]]) == EvalTable([0.0], [[math.nan]])
+    assert EvalTable([0.0], [[1.0]]) != EvalTable([0.0], [[1.0], [0.0]])
+    for points, derivs in ((t.points, t.derivs[:, 1:]), (t.points, t.derivs[:0]),
+                           (t.points[None], t.derivs), (t.points, t.derivs[0])):
+        with pytest.raises(ValueError):
+            EvalTable(points, derivs)
 
 
 def test_dispatch_first_segment_wins_on_self_crossing_path():

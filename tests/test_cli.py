@@ -164,6 +164,60 @@ def test_solve_malformed_problem(tmp_path, capsys):
     assert "line" in err
 
 
+_SHO = {"equation": {"name": "sho"}, "path": ["0", "1"], "grade": 8, "tol": 1e-9,
+        "y0": "1", "y1": "0"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("y0", {"re": "1", "im": 0}),
+        ("path", 5),
+        ("equation", []),
+        ("tol", [1e-9]),
+        ("grade", 8.7),
+        ("grade", True),
+        ("h_max", [1.0]),
+    ],
+    ids=["string_re", "path_number", "equation_list", "tol_list", "grade_float", "grade_bool",
+         "h_max_list"],
+)
+def test_solve_rejects_malformed_field(tmp_path, capsys, field, value):
+    pf = tmp_path / "bad.json"
+    pf.write_text(json.dumps({**_SHO, field: value}))
+    code, out, err = run(capsys, "solve", str(pf), "--out", "-")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_solve_airy_with_step_bounds(tmp_path, capsys):
+    from scipy.special import airy
+
+    ai0, aip0, _, _ = airy(-2.0)
+    prob = {
+        "equation": {"name": "airy"},
+        "path": ["-2", "0.5"],
+        "grade": 12,
+        "tol": 1e-11,
+        "y0": float(ai0),
+        "y1": float(aip0),
+        "h_init": 0.1,
+        "h_min": 1e-6,
+        "h_max": 0.4,
+    }
+    pf = tmp_path / "airy.json"
+    pf.write_text(json.dumps(prob))
+    out, log = tmp_path / "ai.json", tmp_path / "ai.csv"
+    code, _, err = run(capsys, "solve", str(pf), "--out", str(out), "--step-log", str(log))
+    assert code == 0, err
+    ai, aip, _, _ = airy(0.5)
+    end = Blendstring.load(out).records[-1].coeffs
+    assert abs(end[0] - ai) <= 1e-9 and abs(end[1] - aip) <= 1e-9
+    rows = log.read_text().splitlines()[1:]
+    hs = [float(row.split(",")[5]) for row in rows]
+    assert hs[0] == 0.1 and max(hs) <= 0.4
+
+
 def test_stability_table(capsys):
     code, out, err = run(capsys, "stability", "1..3", "--nu", "0.5,1")
     assert code == 0, err

@@ -335,6 +335,17 @@ def test_step_log_noise_floor_column():
     assert all(s.noise_floor > 0 for s in r.steps)
 
 
+def test_floor_lets_a_high_grade_solve_finish():
+    # at grade 25 the (A, B) wobble term of the noise floor is what lets the
+    # steps near the end of this path be accepted; without it the step size
+    # collapses to h_min and the solve fails
+    y0, y1, span = 0.9989026868755729, -0.04683398501901194, 9.547959580492561
+    r = solve_ivp(OdeProblem(ZERO, ONE, ZERO, (0.0, span), y0, y1, 25, 1e-12))
+    end = r.solution.records[-1].coeffs
+    want = (y0 * math.cos(span) + y1 * math.sin(span), y1 * math.cos(span) - y0 * math.sin(span))
+    assert abs(end[0] - want[0]) <= 1e-10 and abs(end[1] - want[1]) <= 1e-10
+
+
 def _exact_sample(problem, z0, z1, X) -> float:
     """The residual sample of one attempt from the solver's double blend
     coefficients X and oracle values, with exact basis rows, an exact 2x2
