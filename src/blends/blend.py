@@ -201,6 +201,9 @@ def blend_eval_derivs(b: Blend, s, nder: int):
     return out
 
 
+NODE_QUARTERS = (1, 3, 2)  # basis_rows' nodes s = k/4: collocation at 1/4, 3/4, sample at 1/2
+
+
 @lru_cache(maxsize=None)
 def basis_rows(m: int) -> np.ndarray:
     """H, H', H'' of every basis polynomial of a grade-(m, m) blend at s = 1/4, 3/4, 1/2.
@@ -245,7 +248,7 @@ def basis_numerators(m: int) -> np.ndarray:
     )
     num = (basis @ weights).reshape(m + 1, 3, 3)
     out = np.empty((3, 3, 2 * m + 2), dtype=object)
-    for node, k in enumerate((1, 3, 2)):
+    for node, k in enumerate(NODE_QUARTERS):
         for d in range(3):  # the q basis with its sign is (-1)^j times the p basis at 1 - s
             out[node, d, : m + 1] = num[:, k - 1, d]
             out[node, d, m + 1 :] = [(-1) ** (j + d) * v for j, v in enumerate(num[:, 3 - k, d])]

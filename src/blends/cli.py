@@ -126,8 +126,6 @@ def load_problem(text: str) -> OdeProblem:
     if not isinstance(doc["path"], list):
         raise ValueError("problem file: path must be a list of scalars")
     path = [_doc_scalar(w, f"path[{i}]") for i, w in enumerate(doc["path"])]
-    if type(doc["grade"]) is not int:
-        raise ValueError("problem file: grade must be an integer")
     kwargs = {k: _doc_real(doc, k) for k in ("h_init", "h_min", "h_max") if doc.get(k) is not None}
     return OdeProblem(
         aorc, borc, gorc, path, _doc_scalar(doc["y0"], "y0"), _doc_scalar(doc["y1"], "y1"),

@@ -11,15 +11,16 @@ tentative knot z1 = z0 + h*direction works entirely in blend space:
  2. blend each known series at z0 (several solutions can march together on
     shared knots) against the particular series, and the zero series at z0
     against each homogeneous series;
- 3. collocate: force the residual of y = L + A*C + B*S to vanish at
-    s = 1/4 and s = 3/4 of the step, a 2x2 linear solve with one right-hand
-    side per known series;
+ 3. collocate: one product of the exact basis rows with all the blend
+    coefficients gives every operator value at s = 1/4, 3/4 and 1/2; force the
+    residual of y = L + A*C + B*S to vanish at 1/4 and 3/4, a 2x2 system
+    pivoted once on C and S, with one right-hand side per known series;
  4. sample each combined residual at s = 1/2, asymptotically the location of
     its maximum, and accept the step iff every sample is within tolerance.
 
 The step is implicit, of order 2m in the residual, and the accepted solution
-series at z1 is pser + A*cser + B*sser, which by linearity of the Taylor
-recurrence is again a solution series, so marching can continue from it.
+series at z1 is p + A*c + B*s (particular and homogeneous series), which by
+linearity of the Taylor recurrence is again a solution series.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .blend import basis_numerators, basis_rows
+from .blend import NODE_QUARTERS, basis_numerators, basis_rows
 from .blendstring import Blendstring
 from .errors import SolveError
-from .series import LocalTaylor, SeriesOracle, _taylor_columns, combine, ode_taylor
+from .series import LocalTaylor, SeriesOracle, _taylor_columns, ode_taylor
 
 __all__ = [
     "OdeProblem",
@@ -49,8 +50,6 @@ __all__ = [
     "stability_threshold",
 ]
 
-# the nodes of basis_rows: collocation at s = 1/4 and 3/4, sample at s = 1/2
-_NODES_S = (0.25, 0.75, 0.5)
 _COND_LIMIT = 1e12
 _MAX_RETRIES = 60
 _EPS = 2.220446049250313e-16
@@ -79,6 +78,8 @@ class OdeProblem:
         for u, v in zip(self.path, self.path[1:]):
             if u == v:
                 raise ValueError("consecutive waypoints must be distinct")
+        if isinstance(self.grade, bool) or not isinstance(self.grade, (int, np.integer)):
+            raise ValueError("grade must be an integer")
         if self.grade < 1:
             raise ValueError("grade must be at least 1")
         if not self.tol > 0:
@@ -134,36 +135,28 @@ def initial_series(problem: OdeProblem) -> LocalTaylor:
     """Grade-m solution series from the initial data via the Taylor recurrence."""
     z0 = problem.path[0]
     m = problem.grade
-    return ode_taylor(
-        LocalTaylor(z0, problem.a(z0, m)),
-        LocalTaylor(z0, problem.b(z0, m)),
-        LocalTaylor(z0, problem.g(z0, m)),
-        problem.y0,
-        problem.y1,
-        m,
-    )
+    col = (problem.g(z0, m), problem.y0, problem.y1)
+    return LocalTaylor(z0, _taylor_columns(problem.a(z0, m), problem.b(z0, m), [col], m)[0])
 
 
 def _step_series(problem: OdeProblem, z0: complex, z1: complex, knowns: list):
-    """Series at z1 and the blend coefficients of one collocation step.
+    """Taylor coefficients at z1 and the blend coefficients of one collocation step.
 
-    Returns (cser, sser, pser, X): the homogeneous and particular solution
-    series at z1, and the s-space coefficients p_0..p_m, q_0..q_m of the
-    blends C (zero data at z0 against cser), S (against sser) and one L per
-    known series (known against pser) as the 2 + k columns of X.
+    Returns (coeffs, X): the coefficient lists of the homogeneous and particular
+    solution series c, s and p at z1, and the s-space coefficients of the blends
+    C (zero data at z0 against c), S (against s) and one L per known series
+    (known against p) as the 2 + k columns of X.
     """
     m = problem.grade
     zero = (0j,) * (m + 1)
     cols = [(zero, 1.0, 0.0), (zero, 0.0, 1.0), (problem.g(z1, m), 0.0, 0.0)]
     coeffs = _taylor_columns(problem.a(z1, m), problem.b(z1, m), cols, m)
-    cser, sser, pser = (LocalTaylor(z1, c) for c in coeffs)
     dj = np.cumprod([1 + 0j] + [z1 - z0] * m)
     X = np.zeros((2, m + 1, 2 + len(knowns)), complex)
-    for j, known in enumerate(knowns, 2):
-        X[0, :, j] = known.coeffs
-    X[1] = np.array(coeffs[:2] + coeffs[2:] * len(knowns)).T
+    X[0, :, 2:] = np.transpose([known.coeffs for known in knowns])
+    X[1] = np.transpose(coeffs[:2] + coeffs[2:] * len(knowns))
     X *= dj[:, None]
-    return cser, sser, pser, X.reshape(2 * m + 2, -1)
+    return coeffs, X.reshape(2 * m + 2, -1)
 
 
 def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: list,
@@ -171,55 +164,58 @@ def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: li
     """One collocation step over [z0, z1] from each known series, logged with length h.
 
     Returns (record, series at z1 per known series).  The known series share
-    C, S and the 2x2 system; each adds one right-hand column.  A singular or
-    ill-conditioned 2x2 system, or a non-finite sample in any column, gives
-    series None, an infinite residual and a zero floor.  The noise floor
-    bounds the residual that mere roundoff produces in evaluating the blends
-    from their double coefficients; the step is accepted iff every column's
-    sample is within max(tol, its floor), and the record logs the worst column.
+    C, S and the pivoted 2x2 elimination; each adds one right-hand side.  A
+    singular or ill-conditioned 2x2 system, or a non-finite sample in any
+    column, gives series None, an infinite residual and a zero floor.  The
+    noise floor bounds the residual that mere roundoff produces in evaluating
+    the blends from their double coefficients; the step is accepted iff every
+    column's sample is within max(tol, its floor); the record logs the worst.
     """
     m = problem.grade
     d = z1 - z0
     ad = abs(d)
-    cser, sser, pser, X = _step_series(problem, z0, z1, knowns)
+    coeffs, X = _step_series(problem, z0, z1, knowns)
     # the exact basis rows times X gives the blends' values at the nodes,
     # with the dot-product error bound gamma_(K+1) |rows| |X| for K terms,
     # one more for the rounding of the rows (Higham, section 3.1)
     W = basis_rows(m)
     ku = (2 * m + 3) * _EPS / 2  # (K+1) u
-    V = W @ X
+    V = W @ X  # (node, order, column)
     E = ku / (1 - ku) * (np.abs(W) @ np.abs(X))
-    # operator values of C, S and each L at each node, with roundoff bounds
-    vals, bounds = [], []
-    for node, s in enumerate(_NODES_S):
-        aval, bval, gval = (c(z0 + s * d, 0)[0] for c in (problem.a, problem.b, problem.g))
-        v, e = V[node], E[node]
-        inhom = np.array([0.0, 0.0] + [gval] * len(knowns))
-        vals.append((v[2] / (d * d) + aval * (v[1] / d) + bval * v[0] - inhom).tolist())
-        bound = e[2] / (ad * ad) + abs(aval) * e[1] / ad + abs(bval) * e[0]
-        bounds.append((bound + _EPS * abs(inhom)).tolist())
-    (c1, s1, *l1s), (c2, s2, *l2s), (cm, sm, *lms) = vals
-    (ec1, es1, *el1s), (ec2, es2, *el2s), (ecm, esm, *elms) = bounds
+    # operator values of C, S and each L at each node, with roundoff bounds;
+    # |a| and |b| by Python's abs and |g| by numpy's, which round differently
+    # in the last bit on some inputs; the step logs depend on this choice
+    nodes = [z0 + k / 4 * d for k in NODE_QUARTERS]
+    a, b, g = ([c(z, 0)[0] for z in nodes] for c in (problem.a, problem.b, problem.g))
+    abs_a, abs_b = ([abs(x) for x in v] for v in (a, b))
+    a, b, g, abs_a, abs_b = (np.array(v)[:, None] for v in (a, b, g, abs_a, abs_b))
+    inhom = np.where(np.arange(X.shape[1]) >= 2, g, 0.0)
+    vals = V[:, 2] / (d * d) + a * (V[:, 1] / d) + b * V[:, 0] - inhom
+    bounds = E[:, 2] / (ad * ad) + abs_a * E[:, 1] / ad + abs_b * E[:, 0] + _EPS * np.abs(inhom)
+    (c1, c2, cm), (s1, s2, sm), *ls = vals.T.tolist()
+    (ec1, ec2, ecm), (es1, es2, esm), *els = bounds.T.tolist()
 
     result, res, floor = None, math.inf, 0.0
     det = c1 * s2 - s1 * c2
     ninf = max(abs(c1) + abs(s1), abs(c2) + abs(s2))
     ninf_inv = max(abs(s2) + abs(s1), abs(c2) + abs(c1)) / abs(det) if det else math.inf
     if ninf * ninf_inv <= _COND_LIMIT:
+        # 2x2 elimination with partial pivoting; the rows are C, S, -L
+        swap = abs(c2) > abs(c1)
+        (p1, q1), (p2, q2) = ((c2, s2), (c1, s1)) if swap else ((c1, s1), (c2, s2))
+        f = p2 / p1
+        denom = q2 - f * q1
         series, worst = [], (-1.0, math.inf, 0.0)  # (sample / max(tol, floor), sample, floor)
-        for l1, l2, lm, el1, el2, elm in zip(l1s, l2s, lms, el1s, el2s, elms):
-            # 2x2 elimination with partial pivoting
-            r1, r2 = (c1, s1, -l1), (c2, s2, -l2)
-            if abs(r2[0]) > abs(r1[0]):
-                r1, r2 = r2, r1
-            f = r2[0] / r1[0]
-            denom = r2[1] - f * r1[1]
-            B = (r2[2] - f * r1[2]) / denom
-            A = (r1[2] - r1[1] * B) / r1[0]
+        for (l1, l2, lm), (el1, el2, elm) in zip(ls, els):
+            r1, r2 = (-l2, -l1) if swap else (-l1, -l2)
+            B = (r2 - f * r1) / denom
+            A = (r1 - q1 * B) / p1
             sample = abs(lm + A * cm + B * sm)
             if not math.isfinite(sample):
                 break
-            series.append(combine(pser, combine(cser, sser, A, B)))
+            # p + A c + B s in combine's arithmetic
+            series.append(LocalTaylor(z1, [1.0 * p + 1.0 * (A * c + B * s)
+                                           for c, s, p in zip(*coeffs)]))
             # noise floor of the sample: evaluation error of the combination plus
             # the wobble of (A, B) induced by the evaluation errors in the 2x2 system
             ab = max(abs(A), abs(B))

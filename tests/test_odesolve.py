@@ -23,6 +23,8 @@ from blends import (
     SolveError,
     constant_oracle,
     initial_series,
+    mathieu_problem,
+    ordinary_params,
     sho_amplification,
     sho_step_matrix,
     solve_ivp,
@@ -59,6 +61,35 @@ def test_problem_validation():
         OdeProblem(ZERO, ONE, ZERO, (0.0, 1.0), 1, 0, 3, -1.0)
     with pytest.raises(ValueError):
         OdeProblem(ZERO, ONE, ZERO, (0.0, 1.0), 1, 0, 3, 1e-8, h_min=2.0, h_max=1.0)
+    for grade in (8.7, True):
+        with pytest.raises(ValueError, match="grade"):
+            OdeProblem(ZERO, ONE, ZERO, (0.0, 1.0), 1, 0, grade, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "a, q, grade, tol, h",
+    [
+        (2.0, 1.0, 15, 1e-12, 1.1),  # both accepted
+        (0.5, 10.0, 10, 1e-12, 0.9),  # both rejected
+        (2.0, 1.0, 10, 1e-10, 1.1),  # the second is worse and alone rejected
+        (2.0, 1.0, 15, 1e-12, 1.6),  # the first is worse and alone rejected
+    ],
+)
+def test_attempt_columns_are_independent(a, q, grade, tol, h):
+    # an attempt with two known series is two one-column attempts: the same
+    # series, the record of the worse column by sample / max(tol, floor)
+    # (the first on a tie), accepted only if both are
+    problems = [mathieu_problem(ordinary_params(a, q), grade, tol, y0=y0, y1=y1)
+                for y0, y1 in ((1.0, 0.0), (0.0, 1.0))]
+    problem, knowns = problems[0], [initial_series(p) for p in problems]
+    z0, w1 = problem.path[:2]
+    z1 = z0 + h * (w1 - z0) / abs(w1 - z0)
+    rec, series = odesolve._attempt(problem, z0, z1, h, knowns)
+    singles = [odesolve._attempt(problem, z0, z1, h, [known]) for known in knowns]
+    assert series == [s for _, (s,) in singles]
+    worst = max((r for r, _ in singles), key=lambda r: r.residual / max(tol, r.noise_floor))
+    assert (rec.residual, rec.noise_floor) == (worst.residual, worst.noise_floor)
+    assert rec.accepted == all(r.accepted for r, _ in singles)
 
 
 def test_step_trivial_quadratic():
