@@ -297,6 +297,15 @@ class Blendstring:
 
     # -- calculus ----------------------------------------------------------
 
+    def _knot_integrals(self) -> list:
+        """Integrals from the first knot to each knot, added from the left one
+        segment at a time (sum() would compensate in newer Pythons)."""
+        out = [0j]
+        for k in range(self.segments):
+            d = self.records[k + 1].knot - self.records[k].knot
+            out.append(out[-1] + d * blend_integrate(self.segment_blend(k)))
+        return out
+
     def indefinite_integral(self) -> "Blendstring":
         """Antiderivative blendstring, grade+1, vanishing at the first knot.
 
@@ -306,28 +315,19 @@ class Blendstring:
         """
         if self.segments < 1:
             raise ValueError("need at least one segment to integrate")
-        recs = []
-        F = 0j
-        for k, r in enumerate(self.records):
-            coeffs = (F,) + tuple(c / (j + 1) for j, c in enumerate(r.coeffs))
-            recs.append(LocalTaylor(r.knot, coeffs))
-            if k < self.segments:
-                d = self.records[k + 1].knot - r.knot
-                F = F + d * blend_integrate(self.segment_blend(k))
-        return Blendstring(recs)
+        return Blendstring([
+            LocalTaylor(r.knot, (F,) + tuple(c / (j + 1) for j, c in enumerate(r.coeffs)))
+            for r, F in zip(self.records, self._knot_integrals())
+        ])
 
     def definite_integral(self) -> complex:
         """Integral along the whole path: sum of exact per-segment integrals."""
-        total = 0j
-        for k in range(self.segments):
-            d = self.records[k + 1].knot - self.records[k].knot
-            total = total + d * blend_integrate(self.segment_blend(k))
-        return total
+        return self._knot_integrals()[-1]
 
     # -- serialization ------------------------------------------------------
 
     def to_document(self) -> str:
-        """Human-readable JSON document, 17 significant digits per number."""
+        """Human-readable JSON document, each number as the shortest text of its double."""
         knots = ",\n    ".join(_cplx(r.knot) for r in self.records)
         rows = []
         for r in self.records:
@@ -397,13 +397,13 @@ def zip_with(
 
 
 def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+    """The shortest text that reads back to the same double (-0.0 keeps its sign)."""
+    return repr(float(v))
 
 
 def _cplx(c) -> str:
-    c = complex(c)  # json reads a bare -0 as the integer 0, so negative zero is written -0.0
-    re, im = (t if t != "-0" else "-0.0" for t in (_fmt(c.real), _fmt(c.imag)))
-    return '{"re": ' + re + ', "im": ' + im + "}"
+    c = complex(c)
+    return '{"re": ' + _fmt(c.real) + ', "im": ' + _fmt(c.imag) + "}"
 
 
 def _read_cplx(obj, where: str) -> complex:

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .blend import NODE_QUARTERS, basis_numerators, basis_rows
-from .blendstring import Blendstring
+from .blendstring import Blendstring, _fmt
 from .errors import SolveError
 from .series import LocalTaylor, SeriesOracle, _taylor_columns, ode_taylor
 
@@ -123,10 +123,10 @@ class SolveResult:
         lines = ["index,re_from,im_from,re_to,im_to,h,residual,accepted,retries,noise_floor"]
         for i, s in enumerate(self.steps):
             lines.append(
-                f"{i},{s.z_from.real:.17g},{s.z_from.imag:.17g},"
-                f"{s.z_to.real:.17g},{s.z_to.imag:.17g},"
-                f"{s.h:.17g},{s.residual:.17g},{int(s.accepted)},{s.retries},"
-                f"{s.noise_floor:.17g}"
+                f"{i},{_fmt(s.z_from.real)},{_fmt(s.z_from.imag)},"
+                f"{_fmt(s.z_to.real)},{_fmt(s.z_to.imag)},"
+                f"{_fmt(s.h)},{_fmt(s.residual)},{int(s.accepted)},{s.retries},"
+                f"{_fmt(s.noise_floor)}"
             )
         return "\n".join(lines) + "\n"
 
@@ -143,20 +143,20 @@ def _step_series(problem: OdeProblem, z0: complex, z1: complex, knowns: list):
     """Taylor coefficients at z1 and the blend coefficients of one collocation step.
 
     Returns (coeffs, X): the coefficient lists of the homogeneous and particular
-    solution series c, s and p at z1, and the s-space coefficients of the blends
-    C (zero data at z0 against c), S (against s) and one L per known series
-    (known against p) as the 2 + k columns of X.
+    solution series c, s and p at z1, and per known series i the s-space
+    coefficients of the blends C (zero data at z0 against c), S (against s) and
+    L (known against p) as the columns of X[i], (2m+2, 3) as in a one-series step.
     """
     m = problem.grade
     zero = (0j,) * (m + 1)
     cols = [(zero, 1.0, 0.0), (zero, 0.0, 1.0), (problem.g(z1, m), 0.0, 0.0)]
     coeffs = _taylor_columns(problem.a(z1, m), problem.b(z1, m), cols, m)
     dj = np.cumprod([1 + 0j] + [z1 - z0] * m)
-    X = np.zeros((2, m + 1, 2 + len(knowns)), complex)
-    X[0, :, 2:] = np.transpose([known.coeffs for known in knowns])
-    X[1] = np.transpose(coeffs[:2] + coeffs[2:] * len(knowns))
+    X = np.zeros((len(knowns), 2, m + 1, 3), complex)
+    X[:, 0, :, 2] = [known.coeffs for known in knowns]
+    X[:, 1] = np.transpose(coeffs)
     X *= dj[:, None]
-    return coeffs, X.reshape(2 * m + 2, -1)
+    return coeffs, X.reshape(len(knowns), 2 * m + 2, 3)
 
 
 def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: list,
@@ -164,7 +164,8 @@ def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: li
     """One collocation step over [z0, z1] from each known series, logged with length h.
 
     Returns (record, series at z1 per known series).  The known series share
-    C, S and the pivoted 2x2 elimination; each adds one right-hand side.  A
+    C, S and the pivoted 2x2 elimination; each adds one right-hand side, and
+    its series and sample are bit for bit those of a one-series attempt.  A
     singular or ill-conditioned 2x2 system, or a non-finite sample in any
     column, gives series None, an infinite residual and a zero floor.  The
     noise floor bounds the residual that mere roundoff produces in evaluating
@@ -178,22 +179,23 @@ def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: li
     # the exact basis rows times X gives the blends' values at the nodes,
     # with the dot-product error bound gamma_(K+1) |rows| |X| for K terms,
     # one more for the rounding of the rows (Higham, section 3.1)
-    W = basis_rows(m)
+    W, X = basis_rows(m), X[:, None]  # one (2m+2, 3) product per known series and node
     ku = (2 * m + 3) * _EPS / 2  # (K+1) u
-    V = W @ X  # (node, order, column)
-    E = ku / (1 - ku) * (np.abs(W) @ np.abs(X))
-    # operator values of C, S and each L at each node, with roundoff bounds;
+    V = (W @ X).transpose(2, 0, 1, 3)  # (order, known, node, column)
+    E = ku / (1 - ku) * (np.abs(W) @ np.abs(X)).transpose(2, 0, 1, 3)
+    # operator values of C, S and L at each node, with roundoff bounds;
     # |a| and |b| by Python's abs and |g| by numpy's, which round differently
     # in the last bit on some inputs; the step logs depend on this choice
     nodes = [z0 + k / 4 * d for k in NODE_QUARTERS]
     a, b, g = ([c(z, 0)[0] for z in nodes] for c in (problem.a, problem.b, problem.g))
     abs_a, abs_b = ([abs(x) for x in v] for v in (a, b))
     a, b, g, abs_a, abs_b = (np.array(v)[:, None] for v in (a, b, g, abs_a, abs_b))
-    inhom = np.where(np.arange(X.shape[1]) >= 2, g, 0.0)
-    vals = V[:, 2] / (d * d) + a * (V[:, 1] / d) + b * V[:, 0] - inhom
-    bounds = E[:, 2] / (ad * ad) + abs_a * E[:, 1] / ad + abs_b * E[:, 0] + _EPS * np.abs(inhom)
-    (c1, c2, cm), (s1, s2, sm), *ls = vals.T.tolist()
-    (ec1, ec2, ecm), (es1, es2, esm), *els = bounds.T.tolist()
+    inhom = np.where(np.arange(3) == 2, g, 0.0)
+    vals = V[2] / (d * d) + a * (V[1] / d) + b * V[0] - inhom
+    bounds = E[2] / (ad * ad) + abs_a * E[1] / ad + abs_b * E[0] + _EPS * np.abs(inhom)
+    (c1, c2, cm), (s1, s2, sm), _ = vals[0].T.tolist()
+    (ec1, ec2, ecm), (es1, es2, esm), _ = bounds[0].T.tolist()
+    ls, els = vals[..., 2].tolist(), bounds[..., 2].tolist()
 
     result, res, floor = None, math.inf, 0.0
     det = c1 * s2 - s1 * c2

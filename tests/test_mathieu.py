@@ -1,16 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 from refvals import DOUBLE_POINT_A, DOUBLE_POINT_QHAT
 from scipy.integrate import simpson
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq
 
+import blends
 from blends import (
     Blendstring,
     MathieuParams,
+    SolveError,
     cos_oracle,
     double_point,
     even_characteristic_values,
@@ -33,6 +40,28 @@ def test_coefficient_oracle_values():
     assert np.allclose(b(0.0, 2), [1.0, 0.0, 0.0])
     _, b, _ = mathieu_operator(0.0, 1.0)
     assert np.allclose(b(0.0, 2), [-2.0, 0.0, 4.0])
+
+
+@pytest.mark.parametrize(
+    "a, q, z",
+    [
+        (0.7, 1.3, 0.4),
+        (2.0, -0.5, 2.9),
+        (1 + 0.5j, 0.3 - 0.2j, 0.25 + 0.8j),
+        (0.1, 2j, 1.7j),
+        (float(DOUBLE_POINT_A), 1j * float(DOUBLE_POINT_QHAT), 1.485j),
+        (2.0, 1.0, 5.5 - 0.3j),
+    ],
+)
+def test_coefficient_oracle_matches_mpmath_taylor(a, q, z):
+    # every Taylor coefficient of b(z) = a - 2q cos 2z to grade 25, against
+    # 40-digit mpmath at points where none of them vanishes
+    a, q = complex(a), complex(q)
+    got = mathieu_operator(a, q)[1](z, 25)
+    with mpmath.workdps(40):
+        want = mpmath.taylor(lambda t: a - 2 * q * mpmath.cos(2 * t), mpmath.mpc(z), 25)
+        for j, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 2e-15 * abs(w), (j, g, w)
 
 
 def test_coefficient_oracle_imaginary_axis():
@@ -166,12 +195,27 @@ def test_even_eigenvalue_search_q0():
 def test_even_eigenvalue_search_q1_matches_matrix_oracle():
     a0 = even_eigenvalue_search(1.0, (-1.0, 0.0))
     ref = even_characteristic_values(1.0, 1)[0].real
-    assert a0 == pytest.approx(ref, abs=1e-6)
+    assert a0 == pytest.approx(ref, abs=1e-13)
 
 
 def test_even_eigenvalue_search_no_root():
     with pytest.raises(ValueError):
         even_eigenvalue_search(0.0, (1.0, 2.0))
+
+
+def test_even_eigenvalue_search_reports_no_convergence(monkeypatch):
+    # one Brent iteration cannot meet the default tolerances
+    monkeypatch.setattr(scipy.optimize, "brentq", lambda *a, **kw: brentq(*a, maxiter=1, **kw))
+    with pytest.raises(SolveError, match="did not converge"):
+        even_eigenvalue_search(1.0, (-1.0, 0.0))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # even_eigenvalue_search imports it on its first call, not the package
+    src = str(Path(blends.__file__).resolve().parents[1])
+    code = "import sys, blends; sys.exit('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_modified_endpoint_against_runge_kutta():

@@ -73,6 +73,9 @@ def test_problem_validation():
         (0.5, 10.0, 10, 1e-12, 0.9),  # both rejected
         (2.0, 1.0, 10, 1e-10, 1.1),  # the second is worse and alone rejected
         (2.0, 1.0, 15, 1e-12, 1.6),  # the first is worse and alone rejected
+        (2.0, 1.0, 8, 1e-10, 0.75),  # the second is worse and alone rejected
+        (2.0, 1.0, 20, 1e-13, 1.6),  # both accepted
+        (2.0, 1.0, 25, 1e-13, 3.0),  # both rejected
     ],
 )
 def test_attempt_columns_are_independent(a, q, grade, tol, h):
@@ -419,7 +422,8 @@ def test_noise_floor_bounds_roundoff(monkeypatch, problem):
 
     def spy(problem, z0, z1, known):
         out = step_series(problem, z0, z1, known)
-        attempts.append((z0, z1, out[-1]))
+        (X,) = out[-1]  # one (2m+2, 3) matrix: solve_ivp marches one known series
+        attempts.append((z0, z1, X))
         return out
 
     step_series = odesolve._step_series
