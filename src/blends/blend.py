@@ -7,11 +7,11 @@ match q_0..q_n:
     H(s) = sum_{j<=m} [ sum_{k<=m-j} C(n+k,k) s^(k+j) ] (1-s)^(n+1) p_j
          + sum_{j<=n} [ sum_{k<=n-j} C(m+k,k) (1-s)^(k+j) ] s^(m+1) (-1)^j q_j
 
-Evaluation runs two Horner-style loops costing O(m+n) multiplications; the
-binomial weights are built up as running products of exact integers, never
-as standalone factorials, which both avoids premature overflow and keeps the
-cost linear.  Any non-finite intermediate or result aborts evaluation with
-EvalOverflowError rather than letting inf/nan escape.
+Evaluation is one Horner loop per half.  The p half's bracket, summed over j,
+is p(s)/(1-s)^(n+1) truncated at grade m, and dividing by 1-s is a running
+sum, so Blend.power_coeffs is n+1 (and m+1) running sums of the coefficients,
+taken once in their own arithmetic.  Any non-finite intermediate or result
+aborts evaluation with EvalOverflowError rather than letting inf/nan escape.
 
 The kernel accepts a scalar s or a numpy array of s values; all arithmetic
 is duck-typed, so exotic scalar types work for scalar s.
@@ -24,7 +24,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -85,6 +86,19 @@ class Blend:
         """The q_j with the (-1)^j sign of the blend formula folded in."""
         return tuple(c if j % 2 == 0 else -c for j, c in enumerate(self.right.coeffs))
 
+    @cached_property
+    def power_coeffs(self) -> tuple:
+        """(e, f): p/(1-s)^(n+1) and qalt/(1-t)^(m+1) truncated at grades m and n."""
+        e, f = self.left.coeffs, self.qalt
+        for _ in range(self.n + 1):
+            e = tuple(accumulate(e))
+        for _ in range(self.m + 1):
+            f = tuple(accumulate(f))
+        last = np.asarray([e[-1], f[-1]])  # inf/nan carry to the last sums; only floats overflow
+        if last.dtype.kind in "fc" and not np.isfinite(last).all():
+            raise OverflowError("power coefficients overflowed")
+        return e, f
+
     @classmethod
     def from_taylor(cls, left: LocalTaylor, right: LocalTaylor) -> "Blend":
         """Build the blend of two z-space Taylor records over [left.knot, right.knot]."""
@@ -99,20 +113,10 @@ class Blend:
         return cls(*records)
 
 
-def _half_sum(coeffs, other_grade, x):
-    """One Horner sweep: sum_j c_j x^j T_{g-j}(x) with T_r(x) = sum_{k<=r} C(o+k,k) x^k."""
-    g = len(coeffs) - 1
-    o = other_grade
-    w = coeffs[g]
-    t = 1
-    b = 1
-    xp = 1
-    for j in range(g - 1, -1, -1):
-        r = g - j
-        b = b * (o + r) // r
-        xp = xp * x
-        t = t + b * xp
-        w = coeffs[j] * t + x * w
+def _horner(coeffs, x):
+    w = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        w = w * x + c
     return w
 
 
@@ -124,10 +128,8 @@ def blend_eval(b: Blend, s):
     """
     m, n = b.m, b.n
     try:
-        t = 1.0 - s
-        left = t ** (n + 1) * _half_sum(b.left.coeffs, n, s)
-        right = s ** (m + 1) * _half_sum(b.qalt, m, t)
-        out = left + right
+        e, f = b.power_coeffs
+        out = (1 - s) ** (n + 1) * _horner(e, s) + s ** (m + 1) * _horner(f, 1 - s)
     except OverflowError as exc:
         raise EvalOverflowError(f"blend of grades ({m},{n}) overflowed") from exc
     if not _all_finite(out):
@@ -280,7 +282,7 @@ def blend_integrate(b: Blend):
     coeffs = b.left.coeffs + b.right.coeffs
     exact, rounded = _integral_weights(b.m, b.n)
     weights = rounded if np.asarray(coeffs[0]).dtype.kind in "fc" else exact
-    return sum(map(operator.mul, weights, coeffs))
+    return reduce(operator.add, map(operator.mul, weights, coeffs), 0)
 
 
 def blend_condition_integral(m: int, n: int) -> float:

@@ -85,19 +85,21 @@ class EvalTable:
 class _Path:
     """Arrays a blendstring derives from its records, filled on first use.
 
-    ``a`` and ``d`` are the segment starts and spans in complex double, for
-    point dispatch and table points.  ``blends`` holds each segment's Blend,
-    built in the records' own arithmetic when that segment is first needed.
-    ``scaled()`` gives the s-space coefficient matrices for batch evaluation.
+    ``a`` and ``d`` are segment starts and spans in complex double; dispatch
+    bounds |re|, |im| of (z - mid)/d by ``box``, [1/2 + tol, tol] per segment.
+    ``blends`` holds each segment's Blend, built in the records' arithmetic on
+    first need; ``scaled()`` gives deval's s-space coefficient matrices.
     """
 
-    __slots__ = ("records", "a", "d", "blends", "_scaled")
+    __slots__ = ("records", "a", "d", "mid", "box", "blends", "_scaled")
 
     def __init__(self, records):
         z = np.array([r.knot for r in records], dtype=complex)
         self.records = records
         self.a = z[:-1]
         self.d = z[1:] - z[:-1]
+        self.mid = self.a + self.d / 2
+        self.box = np.array([0.5 + DISPATCH_RTOL, DISPATCH_RTOL] * len(self.d))
         self.blends = [None] * (len(records) - 1)
         self._scaled = None
 
@@ -233,11 +235,10 @@ class Blendstring:
                 return self.records[0].coeffs[0]
             raise OffPathError(f"{z!r} is not the single knot of this blendstring")
         path = self._cache()
-        s = (complex(z) - path.a) / path.d
-        tol = DISPATCH_RTOL
-        hit = (np.abs(s.imag) <= tol) & (s.real >= -tol) & (s.real <= 1.0 + tol)
+        # segment k holds z when both its parts pass: its two bools read as uint16 0x0101
+        hit = (np.abs(((complex(z) - path.mid) / path.d).view(float)) <= path.box).view(np.uint16)
         k = int(hit.argmax())
-        if not hit[k]:
+        if hit[k] != 0x0101:
             raise OffPathError(f"{z!r} lies on no segment of this blendstring")
         # the segment is chosen in double precision; s is recomputed in the
         # records' own arithmetic, so wider scalar types keep their digits
@@ -298,8 +299,8 @@ class Blendstring:
     # -- calculus ----------------------------------------------------------
 
     def _knot_integrals(self) -> list:
-        """Integrals from the first knot to each knot, added from the left one
-        segment at a time (sum() would compensate in newer Pythons)."""
+        """Integrals from the first knot to each knot, added left to right one
+        segment at a time, as mul and blend_integrate add (sum() compensates from 3.12)."""
         out = [0j]
         for k in range(self.segments):
             d = self.records[k + 1].knot - self.records[k].knot

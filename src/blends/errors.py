@@ -17,7 +17,7 @@ class EvalOverflowError(BlendsError, OverflowError):
     """A blend evaluation produced a non-finite intermediate or result.
 
     Raised instead of silently returning inf/nan; typically triggered by the
-    binomial weights at very large grades.
+    power coefficients, which grow like C(m+n, m) (from grade 514 when m = n).
     """
 
 

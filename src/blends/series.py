@@ -13,7 +13,9 @@ be zero.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 from .errors import CompatibilityError, SeriesDivisionError
@@ -101,7 +103,7 @@ def mul(x: LocalTaylor, y: LocalTaylor) -> LocalTaylor:
     """
     _check_compatible(x, y)
     a, b = x.coeffs, y.coeffs
-    out = [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
+    out = [reduce(operator.add, map(operator.mul, a[: j + 1], b[j::-1]), 0) for j in range(len(a))]
     return LocalTaylor(x.knot, tuple(out))
 
 

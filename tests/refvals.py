@@ -1,5 +1,6 @@
 """Frozen reference values shared by the unit and acceptance tests."""
 
+import math
 from functools import lru_cache
 
 import mpmath
@@ -166,3 +167,26 @@ def full_sum_taylor(a, b, g, y0, y1, grade: int) -> list:
             acc = acc - a[l] * (j - l + 1) * c[j - l + 1] - b[l] * c[j - l]
         c[j + 2] = acc / ((j + 2) * (j + 1))
     return c
+
+
+def hermite_form(p, q, s, t=None):
+    """The blend formula of the blend module's header, term by term, in the arithmetic of p, q, s.
+
+    Exact binomials and explicit powers, no Horner loop and no running sums:
+    the independent reference for blend_eval (exact for Fraction inputs).
+    ``t`` stands for 1 - s; pass the value a kernel computed for it to leave
+    that one rounding out of the comparison.
+    """
+    m, n = len(p) - 1, len(q) - 1
+    t = 1 - s if t is None else t
+    sp = [s**i for i in range(max(m, n) + 2)]
+    tp = [t**i for i in range(max(m, n) + 2)]
+    left = sum(
+        p[j] * math.comb(n + k, k) * sp[k + j] for j in range(m + 1) for k in range(m - j + 1)
+    )
+    right = sum(
+        (-1) ** j * q[j] * math.comb(m + k, k) * tp[k + j]
+        for j in range(n + 1)
+        for k in range(n - j + 1)
+    )
+    return left * tp[n + 1] + right * sp[m + 1]

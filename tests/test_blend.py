@@ -1,9 +1,11 @@
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from refvals import exact_basis_rows
+from refvals import exact_basis_rows, hermite_form
 from scipy.integrate import simpson
 
 from blends import EvalOverflowError
@@ -53,6 +55,32 @@ def test_smoothstep():
 def test_distinct_knots_required():
     with pytest.raises(ValueError):
         Blend(LocalTaylor(1.0, (1.0,)), LocalTaylor(1.0, (2.0,)))
+
+
+def test_eval_is_exact_in_fractions():
+    # Fraction data and s keep the running sums and Horner loops exact, so
+    # blend_eval is the header formula itself, on the segment and off it
+    rng = random.Random(3)
+    for m, n in ((0, 0), (0, 3), (2, 5), (4, 1), (7, 7)):
+        p = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m + 1))
+        q = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1))
+        b = make(p, q)
+        for s in map(Fraction, (0, 1, "1/3", "5/7", "-1/4", "3/2")):
+            v = blend_eval(b, s)
+            assert type(v) is Fraction and v == hermite_form(p, q, s)
+
+
+def test_power_coeffs_are_running_sums_cached_per_blend():
+    # m = 2, n = 1: e = p / (1-s)^2 = p (1 + 2s + 3s^2), f = qalt / (1-t)^3 = qalt (1 + 3t)
+    b = make((1.0, 2.0, 3.0), (4.0, 5.0))
+    assert b.power_coeffs == ((1.0, 4.0, 10.0), (4.0, 7.0))
+    assert b.power_coeffs is b.power_coeffs
+
+
+def test_integral_adds_left_to_right():
+    # weights 1/2, 1/12, 1/2, -1/12 make the terms 1e16, 1.0, -1e16, -0.0: 0.0
+    # left to right, where the compensated sum() of Python 3.12 and later gives 1.0
+    assert blend_integrate(make((2e16, 12.0), (-2e16, 0.0))) == 0.0
 
 
 def test_vectorized_eval_matches_scalar():
@@ -232,3 +260,18 @@ def test_overflow_policy():
         blend_eval(big, 0.5)
     with pytest.raises(EvalOverflowError):
         blend_eval_derivs(big, 0.5, 1)
+
+
+def test_exact_data_never_overflows():
+    # the constant 1 at grade 520: its power coefficients C(520+k, k) pass the
+    # largest double, but int data and a Fraction s keep every sum exact
+    b = make((1,) + (0,) * 520, (1,) + (0,) * 520)
+    assert blend_eval(b, Fraction(1, 3)) == 1
+
+
+def test_overflow_policy_for_arrays_of_s():
+    # the power coefficients overflow before numpy sees them, so an array of
+    # s raises EvalOverflowError, not a numpy warning about inf or nan
+    big = Blend(LocalTaylor(0.0, (1.0,) * 601), LocalTaylor(1.0, (1.0,) * 601))
+    with pytest.raises(EvalOverflowError):
+        blend_eval(big, np.array([0.25, 0.5]))

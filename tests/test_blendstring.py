@@ -5,6 +5,7 @@ import pickle
 import mpmath
 import numpy as np
 import pytest
+from refvals import hermite_form
 
 from blends import (
     Blendstring,
@@ -13,9 +14,11 @@ from blends import (
     EvalTable,
     OffPathError,
     constant_oracle,
+    cos_oracle,
     exp_oracle,
     identity_oracle,
     recip_gamma_oracle,
+    sin_oracle,
 )
 from blends.blend import blend_eval, blend_eval_derivs
 from blends.blendstring import DISPATCH_RTOL, zip_with
@@ -496,6 +499,37 @@ def test_mpmath_records_eval_and_integral():
         assert abs(total - (mpmath.e - 1)) <= 1e-9
         with pytest.raises(TypeError, match="mpc"):
             bs.deval(nrefine=2)
+
+
+def test_mpmath_eval_keeps_30_digits():
+    # at grade 20 the blend is exact to far below 1e-25 on this path, so the
+    # power coefficients and Horner loops must run in 30-digit arithmetic
+    with mpmath.workdps(30):
+        knots = [mpmath.mpc(0), mpmath.mpc("0.5", "0.25"), mpmath.mpc(1)]
+        bs = _mp_exp_string(knots, 20)
+        for k, frac in ((0, mpmath.mpf("0.3")), (1, mpmath.mpf("0.7")), (1, mpmath.mpf(1))):
+            z = knots[k] + frac * (knots[k + 1] - knots[k])
+            assert abs(bs.eval(z) - mpmath.exp(z)) <= 1e-25
+
+
+@pytest.mark.parametrize("oracle", [exp_oracle, sin_oracle, cos_oracle, recip_gamma_oracle])
+@pytest.mark.parametrize("grade", [5, 15, 25, 40])
+def test_eval_roundoff_against_40_digit_hermite_form(oracle, grade):
+    # the same double coefficients, s and t = 1 - s, evaluated by the header
+    # formula in 40 digits; the path keeps every function well away from its
+    # zeros.  For s < 1/2, t itself rounds, and t^(n+1) scales that rounding
+    # by n+1 in any form of the kernel, so the reference takes the double t.
+    knots = [0.5, 1.25 + 0.5j, 2.0 + 0.25j]
+    bs = Blendstring.from_oracle(knots, grade, oracle)
+    for k in range(bs.segments):
+        b = bs.segment_blend(k)
+        for frac in (0.13, 0.45, 0.5, 0.86):
+            z = knots[k] + frac * (knots[k + 1] - knots[k])
+            s = (z - knots[k]) / (knots[k + 1] - knots[k])
+            with mpmath.workdps(40):
+                p, q = ([mpmath.mpc(c) for c in r.coeffs] for r in (b.left, b.right))
+                ref = hermite_form(p, q, mpmath.mpc(s), mpmath.mpc(1 - s))
+            assert abs(bs.eval(z) - ref) <= 4e-15 * abs(ref)
 
 
 def test_mpmath_records_integral_uses_exact_weights():

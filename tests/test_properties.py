@@ -6,10 +6,11 @@ database; the whole file runs in about two seconds.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from refvals import full_sum_taylor
 
@@ -17,6 +18,7 @@ from blends import (
     Blend,
     Blendstring,
     LocalTaylor,
+    OffPathError,
     blend_eval_derivs,
     compose,
     div,
@@ -25,6 +27,8 @@ from blends import (
     ode_taylor,
     sin_oracle,
 )
+from blends import blendstring
+from blends.blendstring import DISPATCH_RTOL
 from blends.series import _taylor_columns
 
 derandomized = settings(derandomize=True, max_examples=40, deadline=None)
@@ -181,3 +185,54 @@ def test_compose_exp_on_sin_matches_mpmath_taylor(knot, grade):
         want = mpmath.taylor(lambda z: mpmath.exp(mpmath.sin(z)), mpmath.mpc(knot), grade)
         for c, w in zip(got, want):
             assert abs(c - w) <= 1e-13 * abs(w)
+
+
+# the self-crossing path of the dispatch unit test (z = 1 is on segments 0
+# and 2), and one that runs back over itself ([1/2, 1] is on segments 0, 1, 2)
+CROSSING_PATHS = ([0j, 2 + 0j, 1 + 1j, 1 - 1j], [0j, 1 + 0j, 0.5 + 0j, 2 + 0j])
+coordinate = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def dispatch_cases(draw):
+    """A path and a point near one of its segments: a knot, an interior point, or an
+    offset of 3 or 1/2 DISPATCH_RTOL along or across the segment from a knot or interior point."""
+    knots = draw(
+        st.sampled_from(CROSSING_PATHS)
+        | st.lists(st.builds(complex, coordinate, coordinate), min_size=2, max_size=6)
+    )
+    assume(all(abs(b - a) >= 1e-2 for a, b in zip(knots, knots[1:])))
+    k = draw(st.integers(0, len(knots) - 2))
+    x = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    off = DISPATCH_RTOL * draw(st.sampled_from([0, 3, -3, 3j, -3j, 0.5, -0.5, 0.5j, -0.5j]))
+    a, d = knots[k], knots[k + 1] - knots[k]
+    if off == 0 and x in (0.0, 1.0):  # the knots themselves, exactly
+        return knots, knots[k + int(x)]
+    return knots, a + (x + off) * d
+
+
+def first_match(knots, z):
+    """The segment a plain scan in path order picks, and z's least distance from
+    any segment's tolerance edge in that segment's parameter s."""
+    tol, pick, margin = DISPATCH_RTOL, None, math.inf
+    for k in range(len(knots) - 1):
+        s = (z - knots[k]) / (knots[k + 1] - knots[k])
+        margin = min(margin, abs(abs(s.imag) - tol), abs(s.real + tol), abs(s.real - 1 - tol))
+        if pick is None and abs(s.imag) <= tol and -tol <= s.real <= 1 + tol:
+            pick = k
+    return pick, margin
+
+
+@derandomized
+@given(dispatch_cases())
+def test_dispatch_picks_the_first_matching_segment(case):
+    knots, z = case
+    pick, margin = first_match(knots, z)
+    assume(margin > 1e-3 * DISPATCH_RTOL)  # no point within rounding of a tolerance edge
+    bs = Blendstring([LocalTaylor(c, (0.0,)) for c in knots])
+    with mock.patch.object(blendstring, "blend_eval", lambda b, s: b):  # eval returns its blend
+        if pick is None:
+            with pytest.raises(OffPathError):
+                bs.eval(z)
+        else:
+            assert bs.eval(z) is bs.segment_blend(pick)

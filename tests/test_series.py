@@ -38,6 +38,12 @@ def test_mul_identity():
     assert mul(x, one_series(0.0, 3)).coeffs == x.coeffs
 
 
+def test_mul_adds_cauchy_terms_left_to_right():
+    # the grade-2 Cauchy terms are 1e16, 1.0, -1e16: 0.0 left to right, where
+    # the compensated sum() of Python 3.12 and later gives 1.0
+    assert mul(lt(1e16, 1.0, -1e16), lt(1.0, 1.0, 1.0)).coeffs == (1e16, 1e16 + 1.0, 0.0)
+
+
 def test_div_geometric():
     q = div(lt(1.0, 0.0, 0.0), lt(1.0, 1.0, 0.0))
     assert q.coeffs == (1.0, -1.0, 1.0)
