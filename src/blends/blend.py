@@ -7,11 +7,13 @@ match q_0..q_n:
     H(s) = sum_{j<=m} [ sum_{k<=m-j} C(n+k,k) s^(k+j) ] (1-s)^(n+1) p_j
          + sum_{j<=n} [ sum_{k<=n-j} C(m+k,k) (1-s)^(k+j) ] s^(m+1) (-1)^j q_j
 
-Evaluation is one Horner loop per half.  The p half's bracket, summed over j,
-is p(s)/(1-s)^(n+1) truncated at grade m, and dividing by 1-s is a running
-sum, so Blend.power_coeffs is n+1 (and m+1) running sums of the coefficients,
-taken once in their own arithmetic.  Any non-finite intermediate or result
-aborts evaluation with EvalOverflowError rather than letting inf/nan escape.
+The p half's bracket, summed over j, is p(s)/(1-s)^(n+1) truncated at
+grade m, and dividing by 1-s is a running sum, so Blend.power_coeffs is n+1
+(and m+1) running sums of the coefficients, taken once in their own
+arithmetic.  It is the one polynomial form the kernels read: a value is one
+Horner loop per half, a derivative jet the same loop in jet arithmetic.  Any
+non-finite intermediate or result aborts evaluation with EvalOverflowError
+rather than letting inf/nan escape.
 
 The kernel accepts a scalar s or a numpy array of s values; all arithmetic
 is duck-typed, so exotic scalar types work for scalar s.
@@ -30,7 +32,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import EvalOverflowError
-from .series import LocalTaylor
+from .series import LocalTaylor, horner
 
 __all__ = [
     "Blend",
@@ -70,7 +72,7 @@ class Blend:
     right: LocalTaylor
 
     def __post_init__(self):
-        if self.left.knot == self.right.knot:
+        if np.any(self.left.knot == self.right.knot):  # knots may be arrays of segments
             raise ValueError("blend endpoints must be distinct knots")
 
     @property
@@ -82,18 +84,15 @@ class Blend:
         return self.right.grade
 
     @cached_property
-    def qalt(self) -> tuple:
-        """The q_j with the (-1)^j sign of the blend formula folded in."""
-        return tuple(c if j % 2 == 0 else -c for j, c in enumerate(self.right.coeffs))
-
-    @cached_property
     def power_coeffs(self) -> tuple:
-        """(e, f): p/(1-s)^(n+1) and qalt/(1-t)^(m+1) truncated at grades m and n."""
-        e, f = self.left.coeffs, self.qalt
-        for _ in range(self.n + 1):
-            e = tuple(accumulate(e))
-        for _ in range(self.m + 1):
-            f = tuple(accumulate(f))
+        """(e, f): p/(1-s)^(n+1) and (-1)^j q_j/(1-t)^(m+1) truncated at grades m and n."""
+        e = self.left.coeffs
+        f = tuple(c if j % 2 == 0 else -c for j, c in enumerate(self.right.coeffs))
+        with np.errstate(over="ignore", invalid="ignore"):  # array data: the check below raises
+            for _ in range(self.n + 1):
+                e = tuple(accumulate(e))
+            for _ in range(self.m + 1):
+                f = tuple(accumulate(f))
         last = np.asarray([e[-1], f[-1]])  # inf/nan carry to the last sums; only floats overflow
         if last.dtype.kind in "fc" and not np.isfinite(last).all():
             raise OverflowError("power coefficients overflowed")
@@ -113,13 +112,6 @@ class Blend:
         return cls(*records)
 
 
-def _horner(coeffs, x):
-    w = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        w = w * x + c
-    return w
-
-
 def blend_eval(b: Blend, s):
     """Value of the blend at scaled parameter s (scalar or array).
 
@@ -129,7 +121,7 @@ def blend_eval(b: Blend, s):
     m, n = b.m, b.n
     try:
         e, f = b.power_coeffs
-        out = (1 - s) ** (n + 1) * _horner(e, s) + s ** (m + 1) * _horner(f, 1 - s)
+        out = (1 - s) ** (n + 1) * horner(e, s) + s ** (m + 1) * horner(f, 1 - s)
     except OverflowError as exc:
         raise EvalOverflowError(f"blend of grades ({m},{n}) overflowed") from exc
     if not _all_finite(out):
@@ -139,8 +131,10 @@ def blend_eval(b: Blend, s):
 
 # -- jet arithmetic ---------------------------------------------------------
 # A jet is a list of Taylor-normalized derivatives [f, f', f''/2!, ...] with
-# respect to s, of fixed length nder+1.  The blend recurrences are threaded
-# through unchanged, with s replaced by the jet (s, 1, 0, ...).
+# respect to s, of fixed length nder+1.  blend_eval's two halves are threaded
+# through unchanged, with s replaced by the jet (s, 1, 0, ...) and 1 - s by
+# (1 - s, -1, 0, ...): a Horner loop over the power coefficients, then n+1
+# (or m+1) products with the other linear factor.
 
 
 def _jet_axpy_shift(x0, dx, w):
@@ -160,38 +154,26 @@ def blend_eval_derivs(b: Blend, s, nder: int):
     if nder < 0:
         raise ValueError("nder must be nonnegative")
     m, n = b.m, b.n
-    width = nder + 1
-    zero = 0.0 * s
+    zero, t = 0 * s, 1 - s  # in the arithmetic of s, so Fraction data stay exact
 
-    def half(coeffs, other_grade, x0, dx):
-        g = len(coeffs) - 1
-        o = other_grade
-        w = [coeffs[g]] + [zero] * nder
-        t = [1.0 + zero] + [zero] * nder
-        xp = [1.0 + zero] + [zero] * nder
-        bb = 1
-        for j in range(g - 1, -1, -1):
-            r = g - j
-            bb = bb * (o + r) // r
-            xp = _jet_axpy_shift(x0, dx, xp)
-            t = [t[k] + bb * xp[k] for k in range(width)]
-            w = _jet_axpy_shift(x0, dx, w)
-            w = [coeffs[j] * t[k] + w[k] for k in range(width)]
+    def half(coeffs, x, dx, y, times):
+        """Jet of (y - dx*ds)^times * horner(coeffs, x + dx*ds), y = 1 - x."""
+        w = [coeffs[-1]] + [zero] * nder
+        for c in coeffs[-2::-1]:
+            w = _jet_axpy_shift(x, dx, w)
+            w[0] = w[0] + c
+        for _ in range(times):
+            w = _jet_axpy_shift(y, -dx, w)
         return w
 
     try:
-        wl = half(b.left.coeffs, n, s, 1.0)
-        for _ in range(n + 1):
-            wl = _jet_axpy_shift(1.0 - s, -1.0, wl)
-        wr = half(b.qalt, m, 1.0 - s, -1.0)
-        for _ in range(m + 1):
-            wr = _jet_axpy_shift(s, 1.0, wr)
-        jet = [wl[k] + wr[k] for k in range(width)]
+        e, f = b.power_coeffs
+        jet = [u + v for u, v in zip(half(e, s, 1, t, n + 1), half(f, t, -1, s, m + 1))]
     except OverflowError as exc:
         raise EvalOverflowError(f"blend of grades ({m},{n}) overflowed") from exc
     fact = 1
     out = []
-    for k in range(width):
+    for k in range(nder + 1):
         if k > 1:
             fact *= k
         out.append(jet[k] * fact)
@@ -296,9 +278,8 @@ def blend_condition_integral(m: int, n: int) -> float:
     """
     if m < 0 or n < 0:
         raise ValueError("grades must be nonnegative")
-    tot = sum(1.0 / k for k in range(m + 3, m + n + 3))
-    tot += sum(1.0 / k for k in range(n + 3, m + n + 3))
-    return tot + (n + m + 4) / ((n + 2) * (m + 2))
+    terms = [1.0 / k for lo in (m + 3, n + 3) for k in range(lo, m + n + 3)]
+    return math.fsum(terms + [(n + m + 4) / ((n + 2) * (m + 2))])  # same bits on every Python
 
 
 def lebesgue_function(m: int, n: int, s):

@@ -88,10 +88,12 @@ class _Path:
     ``a`` and ``d`` are segment starts and spans in complex double; dispatch
     bounds |re|, |im| of (z - mid)/d by ``box``, [1/2 + tol, tol] per segment.
     ``blends`` holds each segment's Blend, built in the records' arithmetic on
-    first need; ``scaled()`` gives deval's s-space coefficient matrices.
+    first need; ``batched()`` gives deval's one Blend of all segments, built
+    by Blend.from_taylor from records whose knots and coefficients are
+    (segments, 1) complex columns, and kept with its power coefficients.
     """
 
-    __slots__ = ("records", "a", "d", "mid", "box", "blends", "_scaled")
+    __slots__ = ("records", "a", "d", "mid", "box", "blends", "batch")
 
     def __init__(self, records):
         z = np.array([r.knot for r in records], dtype=complex)
@@ -101,11 +103,10 @@ class _Path:
         self.mid = self.a + self.d / 2
         self.box = np.array([0.5 + DISPATCH_RTOL, DISPATCH_RTOL] * len(self.d))
         self.blends = [None] * (len(records) - 1)
-        self._scaled = None
+        self.batch = None
 
-    def scaled(self):
-        """(P, Q): row k holds segment k's left and right coefficients times d[k]**j."""
-        if self._scaled is None:
+    def batched(self) -> Blend:
+        if self.batch is None:
             coeffs = np.array([r.coeffs for r in self.records])
             if coeffs.dtype.kind not in "biufc":
                 odd = next(
@@ -115,11 +116,12 @@ class _Path:
                     "batch evaluation needs float or complex coefficients, "
                     f"not {type(odd).__name__}"
                 )
-            powers = np.ones(coeffs[1:].shape, dtype=complex)
-            powers[:, 1:] = self.d[:, None]
-            powers = np.multiply.accumulate(powers, axis=1)
-            self._scaled = (coeffs[:-1] * powers, coeffs[1:] * powers)
-        return self._scaled
+            z = np.array([r.knot for r in self.records], dtype=complex)[:, None]
+            cols = coeffs.T[:, :, None]  # cols[j] is coefficient j of every knot, (knots, 1)
+            self.batch = Blend.from_taylor(
+                LocalTaylor(z[:-1], cols[:, :-1]), LocalTaylor(z[1:], cols[:, 1:])
+            )
+        return self.batch
 
 
 def _along(table):
@@ -264,18 +266,14 @@ class Blendstring:
             derivs = [[math.factorial(k) * c] for k, c in enumerate(r.coeffs[: nder + 1])]
             return EvalTable([r.knot], derivs + [[0j]] * (nder + 1 - len(derivs)))
         path = self._cache()
-        P, Q = path.scaled()
-        # one blend whose coefficients are (segments, 1) columns, evaluated at
-        # a (1, nrefine+2) row of s values: every segment's jet in one call
-        columns = Blend(
-            LocalTaylor(0.0, P.T[:, :, None]), LocalTaylor(1.0, Q.T[:, :, None])
-        )
+        # the batched blend at a (1, nrefine+2) row of s values: every
+        # segment's jet in one call
         s = np.arange(nrefine + 2)[None, :] / (nrefine + 1)
         d = path.d[:, None]
         pts = path.a[:, None] + s * d
         scale = 1.0
         zjets = []
-        for jet in blend_eval_derivs(columns, s, nder):
+        for jet in blend_eval_derivs(path.batched(), s, nder):
             zjets.append(_along(np.broadcast_to(jet / scale, pts.shape)))
             scale = scale * d
         pts = _along(pts)

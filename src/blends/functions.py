@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .blendstring import Blendstring
 from .errors import OffPathError
-from .series import _quotient
+from .series import _quotient, horner
 from .special import recip_gamma_oracle
 
 __all__ = [
@@ -89,10 +89,7 @@ def poly_oracle(coeffs: Sequence[complex]):
             if not work:
                 out.append(0j)
                 continue
-            rem = work[-1]
-            for c in reversed(work[:-1]):
-                rem = rem * point + c
-            out.append(rem)
+            out.append(horner(work, point))
             for i in range(len(work) - 2, -1, -1):
                 work[i] = work[i] + point * work[i + 1]
             work = work[1:]

@@ -57,11 +57,7 @@ class LocalTaylor:
 
     def value(self, z: complex) -> complex:
         """Evaluate the polynomial itself (not a blend) at z."""
-        t = z - self.knot
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * t + c
-        return acc
+        return horner(self.coeffs, z - self.knot)
 
     def derivative(self) -> "LocalTaylor":
         """Formal derivative, one grade lower (grade 0 maps to the zero constant)."""
@@ -70,6 +66,14 @@ class LocalTaylor:
         return LocalTaylor(
             self.knot, tuple((j + 1) * c for j, c in enumerate(self.coeffs[1:]))
         )
+
+
+def horner(coeffs, x):
+    """coeffs[0] + coeffs[1] x + ... + coeffs[-1] x^(len-1), one multiply-add per term."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
 def zero_series(knot: complex, grade: int) -> LocalTaylor:

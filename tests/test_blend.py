@@ -70,6 +70,50 @@ def test_eval_is_exact_in_fractions():
             assert type(v) is Fraction and v == hermite_form(p, q, s)
 
 
+class _Jet:
+    """A power series in ds truncated at a fixed length, to expand hermite_form about s."""
+
+    def __init__(self, coeffs):
+        self.c = list(coeffs)
+
+    def _lift(self, x):
+        return x if isinstance(x, _Jet) else _Jet([x] + [0] * (len(self.c) - 1))
+
+    def __add__(self, other):
+        return _Jet(a + b for a, b in zip(self.c, self._lift(other).c))
+
+    def __mul__(self, other):
+        o = self._lift(other).c
+        return _Jet(sum(self.c[i] * o[k - i] for i in range(k + 1)) for k in range(len(self.c)))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __rsub__(self, other):
+        return self._lift(other) + self * -1
+
+    def __pow__(self, k):
+        out = self._lift(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+def test_jets_are_exact_in_fractions():
+    # Fraction data and s keep the jet kernel exact: derivative k is k! times
+    # coefficient k of the header formula expanded in ds, up to one past its degree
+    rng = random.Random(5)
+    for m, n in ((0, 0), (0, 3), (2, 5), (4, 1), (6, 6)):
+        p = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m + 1))
+        q = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1))
+        b, nder = make(p, q), m + n + 2
+        for s in map(Fraction, (0, 1, "1/3", "5/7", "-1/4", "3/2")):
+            series = hermite_form(p, q, _Jet([s, 1] + [0] * (nder - 1)))
+            jet = blend_eval_derivs(b, s, nder)
+            assert all(type(v) is Fraction for v in jet)
+            assert jet == [math.factorial(k) * c for k, c in enumerate(series.c)]
+            assert jet[-1] == 0
+
+
 def test_power_coeffs_are_running_sums_cached_per_blend():
     # m = 2, n = 1: e = p / (1-s)^2 = p (1 + 2s + 3s^2), f = qalt / (1-t)^3 = qalt (1 + 3t)
     b = make((1.0, 2.0, 3.0), (4.0, 5.0))
@@ -203,6 +247,12 @@ def test_basis_rows_cached_and_read_only():
 def test_condition_integral_values():
     assert blend_condition_integral(0, 0) == pytest.approx(1.0)
     assert abs(blend_condition_integral(50, 50) - 2 * math.log(2)) < 0.02
+
+
+def test_condition_integral_rounds_its_sum_once():
+    # 1/3 + 1/4 + 1/5 + 7/10 = 89/60; math.fsum rounds the sum of the terms
+    # once, so the result is the same on every Python version
+    assert blend_condition_integral(0, 3) == 89 / 60
 
 
 def test_condition_integral_matches_quadrature():

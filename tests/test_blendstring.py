@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from blends import (
     Blendstring,
     CompatibilityError,
     DocumentError,
+    EvalOverflowError,
     EvalTable,
     OffPathError,
     constant_oracle,
@@ -20,7 +22,7 @@ from blends import (
     recip_gamma_oracle,
     sin_oracle,
 )
-from blends.blend import blend_eval, blend_eval_derivs
+from blends.blend import Blend, blend_eval, blend_eval_derivs
 from blends.blendstring import DISPATCH_RTOL, zip_with
 from blends.series import LocalTaylor, combine, div, mul
 
@@ -376,6 +378,54 @@ def test_deval_batched_matches_per_segment_kernel():
             scale = np.max(np.abs(want[order]))
             assert np.max(np.abs(got - want[order])) <= bounds[order] * scale
         assert np.max(np.abs(t.derivatives(0) - np.exp(t.points))) <= 1e-13
+
+
+def _record_from_taylor(monkeypatch):
+    """Patch Blend.from_taylor to keep every blend it builds; returns that list."""
+    built, build = [], Blend.from_taylor.__func__
+
+    def record(cls, left, right):
+        built.append(build(cls, left, right))
+        return built[-1]
+
+    monkeypatch.setattr(Blend, "from_taylor", classmethod(record))
+    return built
+
+
+def test_deval_builds_one_batched_blend_per_string(monkeypatch):
+    built = _record_from_taylor(monkeypatch)
+    bs = Blendstring.from_oracle(CORNER_KNOTS, 12, exp_oracle)
+    assert built == []  # construction builds no blend
+    first = bs.deval(nrefine=3, nder=2)
+    assert len(built) == 1 and np.shape(built[0].left.knot) == (bs.segments, 1)
+    assert "power_coeffs" in vars(built[0])  # kept with the blend
+    assert bs.deval(nrefine=3, nder=2) == first
+    bs.deval(nrefine=8, nder=0)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("oracle, grade", [(exp_oracle, 12), (sin_oracle, 25), (recip_gamma_oracle, 8)])
+def test_deval_power_coeffs_match_each_segment_blend(monkeypatch, oracle, grade):
+    # the batched blend's power coefficients are each segment's, up to how
+    # numpy's complex multiply rounds the d^j scaling
+    built = _record_from_taylor(monkeypatch)
+    bs = Blendstring.from_oracle(CORNER_KNOTS, grade, oracle)
+    bs.deval(nrefine=0)
+    e, f = built[0].power_coeffs
+    for k in range(bs.segments):
+        want = np.array(sum(bs.segment_blend(k).power_coeffs, ()))
+        got = np.array([c[k, 0] for c in e + f])
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_deval_overflow_raises_before_numpy_warns():
+    # grade 600 of unit data: the power coefficients pass the largest double,
+    # which deval reports as EvalOverflowError, with no RuntimeWarning first
+    bs = Blendstring([LocalTaylor(k, (1.0,) * 601) for k in (0, 1, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalOverflowError):
+            bs.deval(nrefine=3, nder=1)
 
 
 def test_deval_layout_and_last_point():
