@@ -11,9 +11,9 @@ The p half's bracket, summed over j, is p(s)/(1-s)^(n+1) truncated at
 grade m, and dividing by 1-s is a running sum, so Blend.power_coeffs is n+1
 (and m+1) running sums of the coefficients, taken once in their own
 arithmetic.  It is the one polynomial form the kernels read: a value is one
-Horner loop per half, a derivative jet the same loop in jet arithmetic.  Any
-non-finite intermediate or result aborts evaluation with EvalOverflowError
-rather than letting inf/nan escape.
+Horner loop per half, a derivative jet the same formula re-expanded about s
+by series.taylor_shift.  Any non-finite intermediate or result aborts
+evaluation with EvalOverflowError rather than letting inf/nan escape.
 
 The kernel accepts a scalar s or a numpy array of s values; all arithmetic
 is duck-typed, so exotic scalar types work for scalar s.
@@ -32,7 +32,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import EvalOverflowError
-from .series import LocalTaylor, horner
+from .series import LocalTaylor, horner, taylor_shift
 
 __all__ = [
     "Blend",
@@ -129,54 +129,40 @@ def blend_eval(b: Blend, s):
     return out
 
 
-# -- jet arithmetic ---------------------------------------------------------
-# A jet is a list of Taylor-normalized derivatives [f, f', f''/2!, ...] with
-# respect to s, of fixed length nder+1.  blend_eval's two halves are threaded
-# through unchanged, with s replaced by the jet (s, 1, 0, ...) and 1 - s by
-# (1 - s, -1, 0, ...): a Horner loop over the power coefficients, then n+1
-# (or m+1) products with the other linear factor.
-
-
-def _jet_axpy_shift(x0, dx, w):
-    """Jet product (x0 + dx*ds) * w for linear jets; dx is +1 for s, -1 for 1-s."""
-    out = [x0 * w[0]]
-    for k in range(1, len(w)):
-        out.append(x0 * w[k] + dx * w[k - 1])
-    return out
-
-
 def blend_eval_derivs(b: Blend, s, nder: int):
     """[H(s), H'(s), ..., H^(nder)(s)], derivatives with respect to s.
 
+    blend_eval's formula re-expanded about s: each half is the binomial
+    expansion of its linear-factor power times the taylor_shift of its power
+    coefficients, so entry 0 is blend_eval(b, s) bit for bit for scalar s.
     Derivatives with respect to z follow by dividing entry k by span**k;
     the blendstring layer applies that conversion.
     """
     if nder < 0:
         raise ValueError("nder must be nonnegative")
     m, n = b.m, b.n
-    zero, t = 0 * s, 1 - s  # in the arithmetic of s, so Fraction data stay exact
+    t = 1 - s
 
-    def half(coeffs, x, dx, y, times):
-        """Jet of (y - dx*ds)^times * horner(coeffs, x + dx*ds), y = 1 - x."""
-        w = [coeffs[-1]] + [zero] * nder
-        for c in coeffs[-2::-1]:
-            w = _jet_axpy_shift(x, dx, w)
-            w[0] = w[0] + c
-        for _ in range(times):
-            w = _jet_axpy_shift(y, -dx, w)
-        return w
+    def half(coeffs, x, y, power, sign):
+        """Jet of y^power * horner(coeffs, x), x moving by sign*ds and y = 1 - x by -sign*ds."""
+        lin = [y**power] + [  # y**power alone, as blend_eval takes it
+            math.comb(power, i) * (-sign) ** i * y ** (power - i)
+            for i in range(1, min(power, nder) + 1)
+        ]
+        shift = taylor_shift(coeffs, x, nder + 1)
+        if sign < 0:
+            shift = [c if k % 2 == 0 else -c for k, c in enumerate(shift)]
+        return [
+            reduce(operator.add, map(operator.mul, lin[: k + 1], shift[k::-1]))
+            for k in range(nder + 1)
+        ]
 
     try:
         e, f = b.power_coeffs
-        jet = [u + v for u, v in zip(half(e, s, 1, t, n + 1), half(f, t, -1, s, m + 1))]
+        jet = [u + v for u, v in zip(half(e, s, t, n + 1, 1), half(f, t, s, m + 1, -1))]
     except OverflowError as exc:
         raise EvalOverflowError(f"blend of grades ({m},{n}) overflowed") from exc
-    fact = 1
-    out = []
-    for k in range(nder + 1):
-        if k > 1:
-            fact *= k
-        out.append(jet[k] * fact)
+    out = [v * math.factorial(k) if k > 1 else v for k, v in enumerate(jet)]
     for v in out:
         if not _all_finite(v):
             raise EvalOverflowError(

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .blendstring import Blendstring
 from .errors import OffPathError
-from .series import _quotient, horner
+from .series import _quotient, taylor_shift
 from .special import recip_gamma_oracle
 
 __all__ = [
@@ -79,21 +79,10 @@ def zero_oracle(point, grade):
 
 def poly_oracle(coeffs: Sequence[complex]):
     """Oracle for a polynomial given by coefficients in ascending powers of z."""
-    coeffs = [complex(c) for c in coeffs]
+    coeffs = [complex(c) for c in coeffs] or [0j]
 
     def oracle(point, grade):
-        # Taylor shift by synthetic division: repeatedly divide by (z - point)
-        work = list(coeffs)
-        out = []
-        for _ in range(grade + 1):
-            if not work:
-                out.append(0j)
-                continue
-            out.append(horner(work, point))
-            for i in range(len(work) - 2, -1, -1):
-                work[i] = work[i] + point * work[i + 1]
-            work = work[1:]
-        return out
+        return taylor_shift(coeffs, point, grade + 1)
 
     return oracle
 

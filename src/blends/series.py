@@ -76,6 +76,27 @@ def horner(coeffs, x):
     return acc
 
 
+def taylor_shift(coeffs, x, count: int) -> list:
+    """Taylor coefficients 0..count-1 about x of the polynomial coeffs (ascending powers).
+
+    Coefficient k, sum_i C(i, k) coeffs[i] x^(i-k), is the k-th remainder of
+    synthetic division by (z - x): horner's loop, whose partial sums are the
+    quotient, so entry 0 is horner(coeffs, x) bit for bit.  Past the degree
+    come +0s in the arithmetic of coeffs and x.
+    """
+    out, work = [], coeffs[::-1]  # highest power first, as horner runs
+    while work and len(out) < count:
+        acc, quotient = work[0], []
+        for c in work[1:]:
+            quotient.append(acc)
+            acc = acc * x + c
+        out.append(acc)
+        work = quotient
+    if len(out) < count:
+        out += [(x - x) + (coeffs[-1] - coeffs[-1])] * (count - len(out))
+    return out
+
+
 def zero_series(knot: complex, grade: int) -> LocalTaylor:
     return LocalTaylor(knot, (0j,) * (grade + 1))
 

@@ -169,6 +169,30 @@ def full_sum_taylor(a, b, g, y0, y1, grade: int) -> list:
     return c
 
 
+def synthetic_division_taylor(coeffs, point, grade: int) -> list:
+    """Taylor coefficients of a polynomial about point by repeated synthetic division.
+
+    A frozen copy of the loop poly_oracle ran before series.taylor_shift: one
+    Horner pass for the value of what is left, then one division by
+    (z - point), and 0j past the degree.  The reference that poly_oracle must
+    match bit for bit, signs of zeros included.
+    """
+    work = [complex(c) for c in coeffs]
+    out = []
+    for _ in range(grade + 1):
+        if not work:
+            out.append(0j)
+            continue
+        acc = work[-1]
+        for c in work[-2::-1]:
+            acc = acc * point + c
+        out.append(acc)
+        for i in range(len(work) - 2, -1, -1):
+            work[i] = work[i] + point * work[i + 1]
+        work = work[1:]
+    return out
+
+
 def hermite_form(p, q, s, t=None):
     """The blend formula of the blend module's header, term by term, in the arithmetic of p, q, s.
 

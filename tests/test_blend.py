@@ -8,7 +8,7 @@ import pytest
 from refvals import exact_basis_rows, hermite_form
 from scipy.integrate import simpson
 
-from blends import EvalOverflowError
+from blends import Blendstring, EvalOverflowError, exp_oracle, recip_gamma_oracle, sin_oracle
 from blends.blend import (
     Blend,
     blend_condition_integral,
@@ -112,6 +112,36 @@ def test_jets_are_exact_in_fractions():
             assert all(type(v) is Fraction for v in jet)
             assert jet == [math.factorial(k) * c for k, c in enumerate(series.c)]
             assert jet[-1] == 0
+
+
+def test_jet_value_is_blend_eval_bit_for_bit():
+    # entry 0 of a jet is blend_eval's own formula: equal bits (signs of zeros
+    # included) for string segments with float and complex data at random s,
+    # and for Fraction and mpmath data and s
+    rng = random.Random(23)
+    cases = []
+    for grade in (3, 12, 25, 40):
+        for oracle, knots in (
+            (exp_oracle, [-1.0, 0.0, 1.5]),
+            (sin_oracle, [0, 1 + 0.5j, 2 - 1j]),
+            (recip_gamma_oracle, [-3.0, -1.5, 0.0]),
+        ):
+            bs = Blendstring.from_oracle(knots, grade, oracle)
+            for k in range(bs.segments):
+                b = bs.segment_blend(k)
+                cases += [(b, rng.random()) for _ in range(5)]
+                cases += [(b, complex(rng.random(), rng.gauss(0, 0.1))) for _ in range(3)]
+    for m, n in ((0, 2), (4, 4), (7, 3)):
+        p = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m + 1)]
+        q = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
+        cases += [(make(p, q), Fraction(rng.randint(0, 12), 11)) for _ in range(4)]
+        with mpmath.workdps(30):
+            pm = [mpmath.mpf(v.numerator) / v.denominator for v in p]
+            qm = [mpmath.mpc(v.numerator, v.denominator) for v in q]
+            cases += [(make(pm, qm), mpmath.mpf(rng.random())) for _ in range(4)]
+    with mpmath.workdps(30):
+        for b, s in cases:
+            assert repr(blend_eval_derivs(b, s, 2)[0]) == repr(blend_eval(b, s))
 
 
 def test_power_coeffs_are_running_sums_cached_per_blend():

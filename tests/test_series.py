@@ -1,7 +1,12 @@
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from refvals import synthetic_division_taylor
 
-from blends import CompatibilityError, SeriesDivisionError, exp_oracle
+from blends import CompatibilityError, SeriesDivisionError, exp_oracle, poly_oracle
 from blends.series import (
     LocalTaylor,
     combine,
@@ -10,6 +15,7 @@ from blends.series import (
     mul,
     ode_taylor,
     one_series,
+    taylor_shift,
     zero_series,
 )
 
@@ -185,3 +191,40 @@ def test_value_and_derivative_helpers():
     assert x.value(2.0) == 1.0 + 2.0 * 2 + 3.0 * 4
     assert x.derivative().coeffs == (2.0, 6.0)
     assert lt(5.0).derivative().coeffs == (0.0,)
+
+
+def test_taylor_shift_is_the_binomial_sum_in_fractions():
+    # coefficient k about x is sum_i C(i, k) c_i x^(i-k), exactly, for count
+    # below, at and above the number of coefficients; the padding is Fraction 0
+    rng = random.Random(3)
+    for deg in (0, 1, 4, 9):
+        c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(deg + 1)]
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        want = [
+            sum(math.comb(i, k) * c[i] * x ** (i - k) for i in range(k, deg + 1))
+            for k in range(deg + 4)
+        ]
+        for count in (deg, deg + 1, deg + 3):
+            got = taylor_shift(c, x, count)
+            assert got == want[:count]
+            assert all(type(v) is Fraction for v in got)
+
+
+def test_poly_oracle_is_the_frozen_synthetic_division():
+    # random complex polynomials, some parts signed zeros, at complex, float
+    # and int points, to grades below and above the degree; repr compares the
+    # signs of zeros too, the padding's among them
+    rng = random.Random(11)
+    parts = (0.0, -0.0, 1.0, -2.5)
+
+    def part():
+        return rng.choice(parts) if rng.random() < 0.3 else rng.gauss(0, 1)
+
+    for _ in range(300):
+        deg = rng.randint(0, 12)
+        c = [complex(part(), part()) for _ in range(deg + 1)]
+        point = rng.choice([complex(part(), part()), part(), rng.randint(-3, 3)])
+        for grade in (deg // 2, deg, deg + 3):
+            got = poly_oracle(c)(point, grade)
+            want = synthetic_division_taylor(c, point, grade)
+            assert list(map(repr, got)) == list(map(repr, want))
