@@ -101,15 +101,10 @@ class Blend:
     @classmethod
     def from_taylor(cls, left: LocalTaylor, right: LocalTaylor) -> "Blend":
         """Build the blend of two z-space Taylor records over [left.knot, right.knot]."""
-        d = right.knot - left.knot
-        records = []
-        for rec in (left, right):
-            coeffs, dj = [], 1.0
-            for c in rec.coeffs:
-                coeffs.append(c * dj)
-                dj = dj * d
-            records.append(LocalTaylor(rec.knot, coeffs))
-        return cls(*records)
+        d = right.knot - left.knot  # one d^j table; from the int 1 it keeps the records' arithmetic
+        dj = list(accumulate([d] * max(left.grade, right.grade), operator.mul, initial=1))
+        return cls(*(LocalTaylor(rec.knot, [c * p for c, p in zip(rec.coeffs, dj)])
+                     for rec in (left, right)))
 
 
 def blend_eval(b: Blend, s):

@@ -11,10 +11,10 @@ tentative knot z1 = z0 + h*direction works entirely in blend space:
  2. blend each known series at z0 (several solutions can march together on
     shared knots) against the particular series, and the zero series at z0
     against each homogeneous series;
- 3. collocate: one product of the exact basis rows with all the blend
-    coefficients gives every operator value at s = 1/4, 3/4 and 1/2; force the
-    residual of y = L + A*C + B*S to vanish at 1/4 and 3/4, a 2x2 system
-    pivoted once on C and S, with one right-hand side per known series;
+ 3. collocate: one matrix product gives every blend value at s = 1/4, 3/4 and
+    1/2, and the operator follows in Python scalars; force the residual of
+    y = L + A*C + B*S to vanish at 1/4 and 3/4, a 2x2 system pivoted once on
+    C and S, with one right-hand side per known series;
  4. sample each combined residual at s = 1/2, asymptotically the location of
     its maximum, and accept the step iff every sample is within tolerance.
 
@@ -151,12 +151,19 @@ def _step_series(problem: OdeProblem, z0: complex, z1: complex, knowns: list):
     zero = (0j,) * (m + 1)
     cols = [(zero, 1.0, 0.0), (zero, 0.0, 1.0), (problem.g(z1, m), 0.0, 0.0)]
     coeffs = _taylor_columns(problem.a(z1, m), problem.b(z1, m), cols, m)
-    dj = np.cumprod([1 + 0j] + [z1 - z0] * m)
+    dj = np.array([1 + 0j] + [z1 - z0] * m).cumprod()
     X = np.zeros((len(knowns), 2, m + 1, 3), complex)
     X[:, 0, :, 2] = [known.coeffs for known in knowns]
-    X[:, 1] = np.transpose(coeffs)
+    X[:, 1] = np.array(coeffs).T
     X *= dj[:, None]
     return coeffs, X.reshape(len(knowns), 2 * m + 2, 3)
+
+
+@lru_cache(maxsize=None)
+def _node_rows(m: int) -> tuple:
+    """basis_rows(m) as complex (9, 2m+2) rows, indexed node * 3 + order, and their abs."""
+    W = basis_rows(m).reshape(9, 2 * m + 2)
+    return W.astype(complex), np.abs(W)
 
 
 def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: list,
@@ -172,30 +179,27 @@ def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: li
     the blends from their double coefficients; the step is accepted iff every
     column's sample is within max(tol, its floor); the record logs the worst.
     """
-    m = problem.grade
     d = z1 - z0
     ad = abs(d)
+    dd, ad2 = d * d, ad * ad
     coeffs, X = _step_series(problem, z0, z1, knowns)
-    # the exact basis rows times X gives the blends' values at the nodes,
-    # with the dot-product error bound gamma_(K+1) |rows| |X| for K terms,
-    # one more for the rounding of the rows (Higham, section 3.1)
-    W, X = basis_rows(m), X[:, None]  # one (2m+2, 3) product per known series and node
-    ku = (2 * m + 3) * _EPS / 2  # (K+1) u
-    V = (W @ X).transpose(2, 0, 1, 3)  # (order, known, node, column)
-    E = ku / (1 - ku) * (np.abs(W) @ np.abs(X)).transpose(2, 0, 1, 3)
-    # operator values of C, S and L at each node, with roundoff bounds;
-    # |a| and |b| by Python's abs and |g| by numpy's, which round differently
-    # in the last bit on some inputs; the step logs depend on this choice
-    nodes = [z0 + k / 4 * d for k in NODE_QUARTERS]
-    a, b, g = ([c(z, 0)[0] for z in nodes] for c in (problem.a, problem.b, problem.g))
-    abs_a, abs_b = ([abs(x) for x in v] for v in (a, b))
-    a, b, g, abs_a, abs_b = (np.array(v)[:, None] for v in (a, b, g, abs_a, abs_b))
-    inhom = np.where(np.arange(3) == 2, g, 0.0)
-    vals = V[2] / (d * d) + a * (V[1] / d) + b * V[0] - inhom
-    bounds = E[2] / (ad * ad) + abs_a * E[1] / ad + abs_b * E[0] + _EPS * np.abs(inhom)
-    (c1, c2, cm), (s1, s2, sm), _ = vals[0].T.tolist()
-    (ec1, ec2, ecm), (es1, es2, esm), _ = bounds[0].T.tolist()
-    ls, els = vals[..., 2].tolist(), bounds[..., 2].tolist()
+    # one product of the exact basis rows with X gives every blend value at the nodes,
+    # and one of their absolute values the dot-product bound gamma_(K+1) |rows| |X|
+    # (K terms and the rows' rounding; Higham, section 3.1); the rest is Python scalars:
+    # ops[known][node][column] is (value, roundoff bound) of y'' + a y' + b y - g, g in L only
+    W, absW = _node_rows(problem.grade)
+    V, E = (W @ X).tolist(), (absW @ np.abs(X)).tolist()  # [known][node * 3 + order][column]
+    ku = (2 * problem.grade + 3) * _EPS / 2  # (K+1) u
+    gamma, ops = ku / (1 - ku), [[] for _ in knowns]
+    for k, z in enumerate(z0 + q / 4 * d for q in NODE_QUARTERS):
+        a, b, g = (c(z, 0)[0] for c in (problem.a, problem.b, problem.g))
+        abs_a, abs_b = abs(a), abs(b)
+        for op, v, e in zip(ops, V, E):
+            (v0, v1, v2), (e0, e1, e2) = v[3 * k : 3 * k + 3], e[3 * k : 3 * k + 3]
+            op.append([(v2[j] / dd + a * (v1[j] / d) + b * v0[j] - inhom,
+                        gamma * (e2[j] / ad2 + abs_a * e1[j] / ad + abs_b * e0[j])
+                        + _EPS * abs(inhom)) for j, inhom in enumerate((0, 0, g))])
+    ((c1, ec1), (s1, es1), _), ((c2, ec2), (s2, es2), _), ((cm, ecm), (sm, esm), _) = ops[0]
 
     result, res, floor = None, math.inf, 0.0
     det = c1 * s2 - s1 * c2
@@ -208,7 +212,7 @@ def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: li
         f = p2 / p1
         denom = q2 - f * q1
         series, worst = [], (-1.0, math.inf, 0.0)  # (sample / max(tol, floor), sample, floor)
-        for (l1, l2, lm), (el1, el2, elm) in zip(ls, els):
+        for (_, _, (l1, el1)), (_, _, (l2, el2)), (_, _, (lm, elm)) in ops:
             r1, r2 = (-l2, -l1) if swap else (-l1, -l2)
             B = (r2 - f * r1) / denom
             A = (r1 - q1 * B) / p1

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import warnings
+from fractions import Fraction as F
 
 import mpmath
 import numpy as np
@@ -53,6 +54,13 @@ def test_eval_at_knots_is_exact():
     bs = exp_string()
     for r in bs.records:
         assert bs.eval(r.knot) == r.coeffs[0]
+
+
+def test_eval_of_fraction_records_is_exact():
+    # from_taylor's d^j scaling keeps the records' arithmetic
+    bs = Blendstring([LocalTaylor(F(0), (F(1), F(1, 3))), LocalTaylor(F(1, 2), (F(2), F(1, 7)))])
+    got = bs.eval(F(1, 4))
+    assert type(got) is F and got == F(127, 84)
 
 
 def test_eval_off_path():

@@ -23,6 +23,7 @@ from blends import (
     SolveError,
     constant_oracle,
     initial_series,
+    mathieu_operator,
     mathieu_problem,
     ordinary_params,
     sho_amplification,
@@ -412,8 +413,13 @@ def _exact_sample(problem, z0, z1, X) -> float:
         sho_problem(15, 1e-13, span=6 * math.pi, h_init=12.0),
         sho_problem(25, 1e-13, span=12 * math.pi, h_init=36.0),
         OdeProblem(ZERO, airy_b, ZERO, (0.0, 4 + 4j, 8 - 2j, 10.0), 1.0, 0.0, 15, 1e-12, 6.0),
+        # a != 0 and g != 0, so the floor's |a| and |g| terms count
+        OdeProblem(constant_oracle(0.5), constant_oracle(4.0), constant_oracle(3.0),
+                   (0.0, 12.0), 1.0, 0.0, 15, 1e-13, 12.0),
+        # a b that varies along the step
+        OdeProblem(*mathieu_operator(2.0, 5.0), (0.0, 2 * math.pi), 1.0, 0.0, 20, 1e-13, 3.0),
     ],
-    ids=["sho15", "sho25", "airy_complex"],
+    ids=["sho15", "sho25", "airy_complex", "damped_forced", "mathieu"],
 )
 def test_noise_floor_bounds_roundoff(monkeypatch, problem):
     # every attempt's reported sample lies within its noise floor of the
