@@ -87,9 +87,9 @@ class _Path:
 
     ``a`` and ``d`` are segment starts and spans in complex double; dispatch
     bounds |re|, |im| of (z - mid)/d by ``box``, [1/2 + tol, tol] per segment.
-    ``blends`` holds each segment's Blend, built in the records' arithmetic on
-    first need; ``batched()`` gives deval's one Blend of all segments, built
-    by Blend.from_taylor from records whose knots and coefficients are
+    ``blends`` keeps each segment's Blend of int, float or complex records;
+    ``batched()`` gives deval's one Blend of all segments, built by
+    Blend.from_taylor from records whose knots and coefficients are
     (segments, 1) complex columns, and kept with its power coefficients.
     """
 
@@ -218,7 +218,10 @@ class Blendstring:
         blends = self._cache().blends
         b = blends[k]
         if b is None:
-            b = blends[k] = Blend.from_taylor(self.records[k], self.records[k + 1])
+            pair = self.records[k : k + 2]
+            b = Blend.from_taylor(*pair)
+            if all(isinstance(x, (int, float, complex)) for r in pair for x in (r.knot, *r.coeffs)):
+                blends[k] = b  # wider types (mpmath) are rebuilt in each call's precision
         return b
 
     def _cache(self) -> "_Path":

@@ -178,21 +178,18 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _parse_mrange(text: str):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
-
-
 def _cmd_stability(args) -> int:
-    ms = _parse_mrange(args.mrange)
-    nus = parse_scalar_list(args.nu) if args.nu else []
-    lines = ["m,nustar,nustar_over_pi"]
+    lo, dots, hi = args.mrange.partition("..")
+    ms = range(int(lo), int(hi if dots else lo) + 1)
+    if not ms:
+        raise ValueError(f"empty grade range {args.mrange!r}")
+    nus = parse_scalar_list(args.nu or "")
+    if any(nu.imag for nu in nus):
+        raise ValueError(f"nu must be real, not {args.nu!r}")
+    out = "m,nustar,nustar_over_pi\n"
     for m in ms:
         nustar = stability_threshold(m)
-        lines.append(f"{m},{_fmt(nustar)},{_fmt(nustar / math.pi)}")
-    out = "\n".join(lines) + "\n"
+        out += f"{m},{_fmt(nustar)},{_fmt(nustar / math.pi)}\n"
     if nus:
         out += "m,nu,C,S\n"
         for m in ms:
@@ -279,15 +276,12 @@ _DASH_VALUE_OPTS = {"--knots", "--coeffs", "--nu", "--a", "--q"}
 
 
 def _fold_dash_values(argv):
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _DASH_VALUE_OPTS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    out = []
+    for tok in argv:
+        if out and out[-1] in _DASH_VALUE_OPTS and tok.startswith("-"):
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -296,7 +290,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fold_dash_values(list(argv)))
+        args = parser.parse_args(_fold_dash_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -8,13 +8,13 @@ tentative knot z1 = z0 + h*direction works entirely in blend space:
     data sets (1,0) and (0,1), and the particular series with zero data
     (identically zero whenever g is, which recovers the plain blend of the
     known data with the zero series);
- 2. blend each known series at z0 (several solutions can march together on
-    shared knots) against the particular series, and the zero series at z0
-    against each homogeneous series;
- 3. collocate: one matrix product gives every blend value at s = 1/4, 3/4 and
-    1/2, and the operator follows in Python scalars; force the residual of
-    y = L + A*C + B*S to vanish at 1/4 and 3/4, a 2x2 system pivoted once on
-    C and S, with one right-hand side per known series;
+ 2. blend the zero series at z0 against each homogeneous series (C and S),
+    and each known series at z0 against the particular series (one L each:
+    several solutions can march together on shared knots);
+ 3. collocate: one matrix-vector product per blend gives its values at s =
+    1/4, 3/4 and 1/2, and the operator follows in Python scalars; force the
+    residual of y = L + A*C + B*S to vanish at 1/4 and 3/4, a 2x2 system
+    pivoted once on C and S, with one right-hand side per L;
  4. sample each combined residual at s = 1/2, asymptotically the location of
     its maximum, and accept the step iff every sample is within tolerance.
 
@@ -143,20 +143,20 @@ def _step_series(problem: OdeProblem, z0: complex, z1: complex, knowns: list):
     """Taylor coefficients at z1 and the blend coefficients of one collocation step.
 
     Returns (coeffs, X): the coefficient lists of the homogeneous and particular
-    solution series c, s and p at z1, and per known series i the s-space
-    coefficients of the blends C (zero data at z0 against c), S (against s) and
-    L (known against p) as the columns of X[i], (2m+2, 3) as in a one-series step.
+    solution series c, s and p at z1, and the s-space coefficients of every blend
+    of the step as the rows of X, (2 + K, 2m+2, 1) for K known series: C (zero data
+    at z0 against c), S (against s), then one L per known series (known against p).
     """
     m = problem.grade
     zero = (0j,) * (m + 1)
     cols = [(zero, 1.0, 0.0), (zero, 0.0, 1.0), (problem.g(z1, m), 0.0, 0.0)]
     coeffs = _taylor_columns(problem.a(z1, m), problem.b(z1, m), cols, m)
     dj = np.array([1 + 0j] + [z1 - z0] * m).cumprod()
-    X = np.zeros((len(knowns), 2, m + 1, 3), complex)
-    X[:, 0, :, 2] = [known.coeffs for known in knowns]
-    X[:, 1] = np.array(coeffs).T
-    X *= dj[:, None]
-    return coeffs, X.reshape(len(knowns), 2 * m + 2, 3)
+    X = np.zeros((2 + len(knowns), 2, m + 1), complex)
+    X[:, 1] = coeffs[:2] + coeffs[2:] * len(knowns)  # c, s, then p in every L
+    X[2:, 0] = [known.coeffs for known in knowns]
+    X *= dj
+    return coeffs, X.reshape(len(X), 2 * m + 2, 1)
 
 
 @lru_cache(maxsize=None)
@@ -171,35 +171,34 @@ def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: li
     """One collocation step over [z0, z1] from each known series, logged with length h.
 
     Returns (record, series at z1 per known series).  The known series share
-    C, S and the pivoted 2x2 elimination; each adds one right-hand side, and
-    its series and sample are bit for bit those of a one-series attempt.  A
-    singular or ill-conditioned 2x2 system, or a non-finite sample in any
-    column, gives series None, an infinite residual and a zero floor.  The
+    C, S and the pivoted 2x2 elimination; each adds an L and a right-hand side,
+    and its series and sample are bit for bit those of a one-series attempt.
+    A singular or ill-conditioned 2x2 system, or a non-finite sample of any
+    series, gives series None, an infinite residual and a zero floor.  The
     noise floor bounds the residual that mere roundoff produces in evaluating
     the blends from their double coefficients; the step is accepted iff every
-    column's sample is within max(tol, its floor); the record logs the worst.
+    sample is within max(tol, its floor); the record logs the worst.
     """
     d = z1 - z0
     ad = abs(d)
     dd, ad2 = d * d, ad * ad
     coeffs, X = _step_series(problem, z0, z1, knowns)
-    # one product of the exact basis rows with X gives every blend value at the nodes,
-    # and one of their absolute values the dot-product bound gamma_(K+1) |rows| |X|
-    # (K terms and the rows' rounding; Higham, section 3.1); the rest is Python scalars:
-    # ops[known][node][column] is (value, roundoff bound) of y'' + a y' + b y - g, g in L only
+    # one matrix-vector product with the exact basis rows per blend (row of X), so a blend
+    # rounds alike however many share the attempt; V[blend][node * 3 + order] is its value,
+    # E the dot-product bound gamma_(K+1) |rows| |x| (Higham, section 3.1); ops[blend][node]
+    # is (value, roundoff bound) of y'' + a y' + b y - g in Python scalars, g in L only
     W, absW = _node_rows(problem.grade)
-    V, E = (W @ X).tolist(), (absW @ np.abs(X)).tolist()  # [known][node * 3 + order][column]
+    V, E = (W @ X)[..., 0].tolist(), (absW @ np.abs(X))[..., 0].tolist()
     ku = (2 * problem.grade + 3) * _EPS / 2  # (K+1) u
-    gamma, ops = ku / (1 - ku), [[] for _ in knowns]
+    gamma, ops = ku / (1 - ku), [[] for _ in V]
     for k, z in enumerate(z0 + q / 4 * d for q in NODE_QUARTERS):
         a, b, g = (c(z, 0)[0] for c in (problem.a, problem.b, problem.g))
         abs_a, abs_b = abs(a), abs(b)
-        for op, v, e in zip(ops, V, E):
+        for op, v, e, inhom in zip(ops, V, E, (0, 0) + (g,) * len(knowns)):
             (v0, v1, v2), (e0, e1, e2) = v[3 * k : 3 * k + 3], e[3 * k : 3 * k + 3]
-            op.append([(v2[j] / dd + a * (v1[j] / d) + b * v0[j] - inhom,
-                        gamma * (e2[j] / ad2 + abs_a * e1[j] / ad + abs_b * e0[j])
-                        + _EPS * abs(inhom)) for j, inhom in enumerate((0, 0, g))])
-    ((c1, ec1), (s1, es1), _), ((c2, ec2), (s2, es2), _), ((cm, ecm), (sm, esm), _) = ops[0]
+            op.append((v2 / dd + a * (v1 / d) + b * v0 - inhom,
+                       gamma * (e2 / ad2 + abs_a * e1 / ad + abs_b * e0) + _EPS * abs(inhom)))
+    ((c1, ec1), (c2, ec2), (cm, ecm)), ((s1, es1), (s2, es2), (sm, esm)) = ops[:2]
 
     result, res, floor = None, math.inf, 0.0
     det = c1 * s2 - s1 * c2
@@ -211,8 +210,9 @@ def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: li
         (p1, q1), (p2, q2) = ((c2, s2), (c1, s1)) if swap else ((c1, s1), (c2, s2))
         f = p2 / p1
         denom = q2 - f * q1
+        ecs = max(ec1 + es1, ec2 + es2)
         series, worst = [], (-1.0, math.inf, 0.0)  # (sample / max(tol, floor), sample, floor)
-        for (_, _, (l1, el1)), (_, _, (l2, el2)), (_, _, (lm, elm)) in ops:
+        for (l1, el1), (l2, el2), (lm, elm) in ops[2:]:
             r1, r2 = (-l2, -l1) if swap else (-l1, -l2)
             B = (r2 - f * r1) / denom
             A = (r1 - q1 * B) / p1
@@ -225,7 +225,7 @@ def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: li
             # noise floor of the sample: evaluation error of the combination plus
             # the wobble of (A, B) induced by the evaluation errors in the 2x2 system
             ab = max(abs(A), abs(B))
-            d_ab = ninf_inv * (max(el1, el2) + ab * max(ec1 + es1, ec2 + es2))
+            d_ab = ninf_inv * (max(el1, el2) + ab * ecs)
             fl = (
                 elm
                 + abs(A) * ecm

@@ -570,6 +570,18 @@ def test_mpmath_eval_keeps_30_digits():
             assert abs(bs.eval(z) - mpmath.exp(z)) <= 1e-25
 
 
+def test_mpmath_eval_follows_the_current_precision():
+    # a first use at 15 digits must not fix the precision of later ones
+    with mpmath.workdps(30):
+        knots = [mpmath.mpf(0), mpmath.mpf("0.5"), mpmath.mpf(1)]
+        bs = _mp_exp_string(knots, 20)
+    z = mpmath.mpf("0.3")
+    with mpmath.workdps(15):
+        bs.eval(z)
+    with mpmath.workdps(30):
+        assert abs(bs.eval(z) - mpmath.exp(z)) <= 1e-25
+
+
 @pytest.mark.parametrize("oracle", [exp_oracle, sin_oracle, cos_oracle, recip_gamma_oracle])
 @pytest.mark.parametrize("grade", [5, 15, 25, 40])
 def test_eval_roundoff_against_40_digit_hermite_form(oracle, grade):

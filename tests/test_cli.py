@@ -238,6 +238,19 @@ def test_stability_bad_range(capsys):
     assert err.startswith("error:")
 
 
+def test_stability_empty_range(capsys):
+    code, out, err = run(capsys, "stability", "3..1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_stability_complex_nu(capsys):
+    # the table is of real step lengths; an imaginary part is refused, not dropped
+    code, out, err = run(capsys, "stability", "1", "--nu", "1+2i")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_mathieu_demo(tmp_path, capsys):
     out = tmp_path / "u.csv"
     code, _, err = run(

@@ -79,12 +79,12 @@ def test_problem_validation():
         (2.0, 1.0, 25, 1e-13, 3.0),  # both rejected
     ],
 )
-def test_attempt_columns_are_independent(a, q, grade, tol, h):
-    # an attempt with two known series is two one-column attempts: the same
-    # series, the record of the worse column by sample / max(tol, floor)
-    # (the first on a tie), accepted only if both are
+def test_attempt_columns_are_independent(a, q, grade, tol, h, data=((1.0, 0.0), (0.0, 1.0))):
+    # an attempt with several known series is their one-series attempts: the
+    # same series, the record of the worst one by sample / max(tol, floor)
+    # (the first on a tie), accepted only if all are
     problems = [mathieu_problem(ordinary_params(a, q), grade, tol, y0=y0, y1=y1)
-                for y0, y1 in ((1.0, 0.0), (0.0, 1.0))]
+                for y0, y1 in data]
     problem, knowns = problems[0], [initial_series(p) for p in problems]
     z0, w1 = problem.path[:2]
     z1 = z0 + h * (w1 - z0) / abs(w1 - z0)
@@ -94,6 +94,11 @@ def test_attempt_columns_are_independent(a, q, grade, tol, h):
     worst = max((r for r, _ in singles), key=lambda r: r.residual / max(tol, r.noise_floor))
     assert (rec.residual, rec.noise_floor) == (worst.residual, worst.noise_floor)
     assert rec.accepted == all(r.accepted for r, _ in singles)
+
+
+def test_attempt_with_three_known_series():
+    # the third data set is the sum of the first two, so its series is too
+    test_attempt_columns_are_independent(2.0, 1.0, 15, 1e-12, 1.1, ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
 
 
 def test_step_trivial_quadratic():
@@ -428,7 +433,7 @@ def test_noise_floor_bounds_roundoff(monkeypatch, problem):
 
     def spy(problem, z0, z1, known):
         out = step_series(problem, z0, z1, known)
-        (X,) = out[-1]  # one (2m+2, 3) matrix: solve_ivp marches one known series
+        X = out[-1][:, :, 0].T  # (2m+2, 3), columns C, S, L: solve_ivp marches one known series
         attempts.append((z0, z1, X))
         return out
 
