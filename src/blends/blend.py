@@ -113,14 +113,13 @@ def blend_eval(b: Blend, s):
     Accuracy is only guaranteed for s in [0,1] (or very near it in the
     complex plane); off the segment the truncation error grows rapidly.
     """
-    m, n = b.m, b.n
     try:
-        e, f = b.power_coeffs
-        out = (1 - s) ** (n + 1) * horner(e, s) + s ** (m + 1) * horner(f, 1 - s)
+        e, f = b.power_coeffs  # m + 1 and n + 1 entries
+        out = (1 - s) ** len(f) * horner(e, s) + s ** len(e) * horner(f, 1 - s)
     except OverflowError as exc:
-        raise EvalOverflowError(f"blend of grades ({m},{n}) overflowed") from exc
+        raise EvalOverflowError(f"blend of grades ({b.m},{b.n}) overflowed") from exc
     if not _all_finite(out):
-        raise EvalOverflowError(f"blend of grades ({m},{n}) produced non-finite values")
+        raise EvalOverflowError(f"blend of grades ({b.m},{b.n}) produced non-finite values")
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,25 +86,79 @@ class EvalTable:
 class _Path:
     """Arrays a blendstring derives from its records, filled on first use.
 
-    ``a`` and ``d`` are segment starts and spans in complex double; dispatch
-    bounds |re|, |im| of (z - mid)/d by ``box``, [1/2 + tol, tol] per segment.
-    ``blends`` keeps each segment's Blend of int, float or complex records;
-    ``batched()`` gives deval's one Blend of all segments, built by
+    ``a`` and ``d`` are segment starts and spans in complex double; ``grid``,
+    built by the first scalar eval, is a uniform grid whose cells list in
+    ascending order the segments whose dispatch box may reach into them.
+    ``blends`` keeps each segment's Blend of int, float, complex or Fraction
+    records; ``batched()`` gives deval's one Blend of all segments, built by
     Blend.from_taylor from records whose knots and coefficients are
     (segments, 1) complex columns, and kept with its power coefficients.
     """
 
-    __slots__ = ("records", "a", "d", "mid", "box", "blends", "batch")
+    __slots__ = ("records", "a", "d", "grid", "blends", "batch")
 
     def __init__(self, records):
         z = np.array([r.knot for r in records], dtype=complex)
         self.records = records
         self.a = z[:-1]
         self.d = z[1:] - z[:-1]
-        self.mid = self.a + self.d / 2
-        self.box = np.array([0.5 + DISPATCH_RTOL, DISPATCH_RTOL] * len(self.d))
+        self.grid = None
         self.blends = [None] * (len(records) - 1)
         self.batch = None
+
+    def locate(self, z: complex) -> int | None:
+        """The first segment k whose w = (z - mid_k)/d_k has |re w| <= 1/2 + tol and
+        |im w| <= tol, testing only the candidates of z's grid cell; None if none has."""
+        x0, y0, side, nx, ny, starts, ids, mid, d = self.grid or self._grid()
+        fx, fy = (z.real - x0) / side, (z.imag - y0) / side
+        if 0 <= fx < nx and 0 <= fy < ny:  # false for nan
+            cell = int(fy) * nx + int(fx)
+            for k in ids[starts[cell] : starts[cell + 1]]:
+                w = (z - mid[k]) / d[k]
+                if abs(w.real) <= 0.5 + DISPATCH_RTOL and abs(w.imag) <= DISPATCH_RTOL:
+                    return k
+        return None
+
+    def _grid(self) -> tuple:
+        # each segment's candidate region is the axis-aligned box of its dispatch
+        # rectangle at twice the tolerance, mid +- half-widths: no point the test
+        # accepts lies outside it, and cell indices are monotone in x and y
+        with np.errstate(invalid="ignore"):  # a non-finite knot's segments match nothing
+            mid = self.a + self.d / 2
+        keep = np.flatnonzero(np.isfinite(mid) & np.isfinite(self.d))
+        n, c, d = len(keep), mid[keep], self.d[keep]
+        if not n:
+            self.grid = (0.0, 0.0, 1.0, 0, 0, [], [], [], [])
+            return self.grid
+        half = np.abs([d.real, d.imag])
+        half = (0.5 + 2 * DISPATCH_RTOL) * half + 2 * DISPATCH_RTOL * half[::-1]
+        box = np.concatenate([[c.real, c.imag] - half, [c.real, c.imag] + half])
+        x0, y0 = origin = box[:2].min(1)
+        box -= origin[[0, 1, 0, 1], None]
+        w, ht = box[2:].max(1)
+        # side >= the median span, sqrt(area / 2n) and (w + ht) / 8n, so at most 10n + 1
+        # cells, and doubled until there are at most 8n (cell, segment) pairs
+        side = max(np.partition(np.abs(d), n // 2)[n // 2],
+                   math.sqrt(w) * math.sqrt(ht / (2 * n)), (w + ht) / (8 * n))
+        while True:
+            i0, j0, i1, j1 = q = (box / side).astype(int)
+            wide = i1 - i0 + 1
+            count = wide * (j1 - j0 + 1)
+            if count.sum() <= 8 * n:
+                break
+            side *= 2
+        nx, ny = (q[2:].max(1) + 1).tolist()
+        # every (cell, segment) pair, sorted by cell and then segment, so each cell
+        # lists its candidates in ascending order and the first match wins
+        seg = np.repeat(np.arange(n), count)
+        r = np.arange(len(seg)) - np.repeat(count.cumsum() - count, count)
+        rows, cols = np.divmod(r, wide[seg])
+        cells = (j0[seg] + rows) * nx + i0[seg] + cols
+        starts = np.bincount(cells + 1, minlength=nx * ny + 1).cumsum()
+        ids = keep[np.sort(cells * n + seg) % n]
+        self.grid = (float(x0), float(y0), float(side), nx, ny, starts.tolist(), ids.tolist(),
+                     mid.tolist(), self.d.tolist())
+        return self.grid
 
     def batched(self) -> Blend:
         if self.batch is None:
@@ -220,8 +275,9 @@ class Blendstring:
         if b is None:
             pair = self.records[k : k + 2]
             b = Blend.from_taylor(*pair)
-            if all(isinstance(x, (int, float, complex)) for r in pair for x in (r.knot, *r.coeffs)):
-                blends[k] = b  # wider types (mpmath) are rebuilt in each call's precision
+            exact = (int, float, complex, Fraction)  # arithmetic that no precision setting changes
+            if all(isinstance(x, exact) for r in pair for x in (r.knot, *r.coeffs)):
+                blends[k] = b  # mpmath types are rebuilt in each call's precision
         return b
 
     def _cache(self) -> "_Path":
@@ -239,11 +295,8 @@ class Blendstring:
             if z == self.records[0].knot:
                 return self.records[0].coeffs[0]
             raise OffPathError(f"{z!r} is not the single knot of this blendstring")
-        path = self._cache()
-        # segment k holds z when both its parts pass: its two bools read as uint16 0x0101
-        hit = (np.abs(((complex(z) - path.mid) / path.d).view(float)) <= path.box).view(np.uint16)
-        k = int(hit.argmax())
-        if hit[k] != 0x0101:
+        k = self._cache().locate(complex(z))
+        if k is None:
             raise OffPathError(f"{z!r} lies on no segment of this blendstring")
         # the segment is chosen in double precision; s is recomputed in the
         # records' own arithmetic, so wider scalar types keep their digits

@@ -380,8 +380,8 @@ def sho_step_matrix(m: int, nu: float) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not nu > 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, not {nu!r}")
     x, polys = nu * nu, _sho_floats(m)
     if x > 1:
         n, d, p, q = (P.polyval(1 / x, c[::-1]) * x ** (len(c) - len(polys[1])) for c in polys)

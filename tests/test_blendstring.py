@@ -63,6 +63,14 @@ def test_eval_of_fraction_records_is_exact():
     assert type(got) is F and got == F(127, 84)
 
 
+def test_fraction_blends_are_kept():
+    # exact rationals do not depend on any precision, so each segment's blend
+    # and its power coefficients are built once
+    bs = Blendstring([LocalTaylor(F(k, 2), (F(1), F(k, 3))) for k in range(3)])
+    for k in range(bs.segments):
+        assert bs.segment_blend(k) is bs.segment_blend(k)
+
+
 def test_eval_off_path():
     bs = exp_string()
     with pytest.raises(OffPathError):

@@ -251,6 +251,13 @@ def test_stability_complex_nu(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_stability_infinite_nu(capsys):
+    # 1e400 reads as inf, which has no step matrix: one error line, no table
+    code, out, err = run(capsys, "stability", "1", "--nu", "1e400")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_mathieu_demo(tmp_path, capsys):
     out = tmp_path / "u.csv"
     code, _, err = run(

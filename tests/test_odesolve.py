@@ -162,6 +162,14 @@ def test_sho_amplification_huge_steps_finite(m):
         assert s == pytest.approx(values[0][1], rel=1e-14)
 
 
+def test_sho_step_refuses_non_finite_nu():
+    # no step matrix exists for an infinite, NaN or nonpositive step
+    for nu in (math.inf, math.nan, -math.inf, 0.0):
+        for fn in (sho_amplification, sho_step_matrix):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fn(1, nu)
+
+
 def test_sho_step_matrix_structure():
     # equal diagonal entries and unit determinant; the off-diagonal pair
     # agrees only through the geometric mean

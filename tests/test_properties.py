@@ -4,7 +4,10 @@ Every test is derandomized, so a run is reproducible and needs no example
 database; the whole file runs in about two seconds.
 """
 
+import cmath
 import math
+import random
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -236,3 +239,86 @@ def test_dispatch_picks_the_first_matching_segment(case):
                 bs.eval(z)
         else:
             assert bs.eval(z) is bs.segment_blend(pick)
+
+
+def _walk(n, seed):
+    """n + 1 knots of a random walk that turns by up to a radian per step."""
+    rng, z, angle, knots = random.Random(seed), 0j, 0.0, [0j]
+    for _ in range(n):
+        angle += rng.uniform(-1.0, 1.0)
+        z += rng.uniform(0.03, 0.08) * cmath.exp(1j * angle)
+        knots.append(z)
+    return knots
+
+
+# a long random walk that crosses itself; one long segment among 200 short
+# ones on the real axis, diagonal or in line with them (so the first cell
+# size gives too many cell-segment pairs); a path that runs over [0, 1] three times
+SHORT = [k / 100 for k in range(101)]
+INDEX_PATHS = {
+    "walk": _walk(240, 7),
+    "diagonal": SHORT + [900 + 700j + x for x in SHORT[1:]],
+    "in_line": SHORT + [999 + x for x in SHORT[1:]],
+    "retrace": [k / 40 for k in range(41)] + [1 - k / 40 for k in range(1, 41)] + [k / 40 for k in range(1, 41)],
+}
+
+
+def _index_points(knots, seed):
+    """Every knot, points on and within 3 or 1/2 DISPATCH_RTOL of segments, points
+    outside the bounding box, and non-finite points."""
+    rng = random.Random(seed)
+    pts = list(knots)
+    for _ in range(300):
+        k = rng.randrange(len(knots) - 1)
+        off = DISPATCH_RTOL * rng.choice([0, 3, -3, 3j, -3j, 0.5, -0.5, 0.5j, -0.5j])
+        pts.append(knots[k] + (rng.choice([0.0, 1.0, rng.random()]) + off) * (knots[k + 1] - knots[k]))
+    xs, ys = [z.real for z in knots], [z.imag for z in knots]
+    pts += [complex(min(xs) - 1, 0), complex(max(xs) + 1, max(ys)), complex(0, min(ys) - 1),
+            complex(max(xs), max(ys) + 1), max(xs) + max(ys) * 1j]
+    nan, inf = math.nan, math.inf
+    return pts + [complex(nan, 0), complex(0, nan), complex(nan, nan), complex(inf, 0),
+                  complex(0, -inf), complex(inf, inf), complex(-inf, nan)]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("name", sorted(INDEX_PATHS))
+def test_indexed_dispatch_matches_a_plain_scan(name, scale):
+    # the segment index must pick what a scan in path order picks, on long
+    # paths, uneven spans and retraced segments, at extreme knot scales
+    knots = [scale * z for z in INDEX_PATHS[name]]
+    bs = Blendstring([LocalTaylor(c, (0.0,)) for c in knots])
+    with warnings.catch_warnings(), mock.patch.object(blendstring, "blend_eval", lambda b, s: b):
+        warnings.simplefilter("error")
+        for z in _index_points(knots, len(knots)):
+            pick, margin = first_match(knots, z)
+            if not margin > 1e-3 * DISPATCH_RTOL:  # within rounding of a tolerance edge
+                continue
+            if pick is None:
+                with pytest.raises(OffPathError):
+                    bs.eval(z)
+            else:
+                assert bs.eval(z) is bs.segment_blend(pick)
+    # cells and (cell, segment) pairs stay O(segments)
+    x0, y0, side, nx, ny, starts, ids, *_ = bs._path.grid
+    assert nx * ny <= 20 * bs.segments and len(ids) <= 8 * bs.segments
+
+
+def test_segment_index_is_built_by_eval_alone():
+    bs = Blendstring.from_oracle(INDEX_PATHS["walk"], 3, exp_oracle)
+    bs.deval(nrefine=2)
+    bs.definite_integral()
+    assert bs._path.grid is None
+    bs.eval(bs.knots[5])
+    assert bs._path.grid is not None
+
+
+def test_dispatch_skips_segments_with_non_finite_knots():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bs = Blendstring([LocalTaylor(c, (1.0,)) for c in (0.0, 1.0, complex(math.inf, 0))])
+        assert bs.eval(0.5) == 1.0
+        with pytest.raises(OffPathError):
+            bs.eval(2.0)
+        bs = Blendstring([LocalTaylor(c, (1.0,)) for c in (complex(math.nan, 0), 1.0)])
+        with pytest.raises(OffPathError):
+            bs.eval(1.0)
