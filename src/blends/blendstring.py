@@ -28,6 +28,7 @@ __all__ = ["Blendstring", "EvalTable", "zip_with", "DISPATCH_RTOL"]
 # the first matching segment wins, so dispatch is deterministic on paths
 # that cross themselves.
 DISPATCH_RTOL = 1e-10
+_EXACT = (int, float, complex, Fraction)  # arithmetic that no precision setting changes
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +276,7 @@ class Blendstring:
         if b is None:
             pair = self.records[k : k + 2]
             b = Blend.from_taylor(*pair)
-            exact = (int, float, complex, Fraction)  # arithmetic that no precision setting changes
-            if all(isinstance(x, exact) for r in pair for x in (r.knot, *r.coeffs)):
+            if all(isinstance(x, _EXACT) for r in pair for x in (r.knot, *r.coeffs)):
                 blends[k] = b  # mpmath types are rebuilt in each call's precision
         return b
 

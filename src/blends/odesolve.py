@@ -7,7 +7,8 @@ tentative knot z1 = z0 + h*direction works entirely in blend space:
  1. generate grade-m solution series at z1 for the two homogeneous initial
     data sets (1,0) and (0,1), and the particular series with zero data
     (identically zero whenever g is, which recovers the plain blend of the
-    known data with the zero series);
+    known data with the zero series), reused while a, b and g return the same
+    coefficient objects, so a constant-coefficient solve runs one recurrence;
  2. blend the zero series at z0 against each homogeneous series (C and S),
     and each known series at z0 against the particular series (one L each:
     several solutions can march together on shared knots);
@@ -29,12 +30,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import is_
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .blend import NODE_QUARTERS, basis_numerators, basis_rows
-from .blendstring import Blendstring, _fmt
+from .blendstring import _EXACT, Blendstring, _fmt
 from .errors import SolveError
 from .series import LocalTaylor, SeriesOracle, _taylor_columns, ode_taylor
 
@@ -139,6 +141,9 @@ def initial_series(problem: OdeProblem) -> LocalTaylor:
     return LocalTaylor(z0, _taylor_columns(problem.a(z0, m), problem.b(z0, m), [col], m)[0])
 
 
+_columns_memo = None  # ((m, len(g), len(a), len(b)), (*g, *a, *b), coeffs) last kept
+
+
 def _step_series(problem: OdeProblem, z0: complex, z1: complex, knowns: list):
     """Taylor coefficients at z1 and the blend coefficients of one collocation step.
 
@@ -146,11 +151,23 @@ def _step_series(problem: OdeProblem, z0: complex, z1: complex, knowns: list):
     solution series c, s and p at z1, and the s-space coefficients of every blend
     of the step as the rows of X, (2 + K, 2m+2, 1) for K known series: C (zero data
     at z0 against c), S (against s), then one L per known series (known against p).
+    The columns are reused while the oracles return the very same g, a and b objects
+    (matched by identity, so reuse changes no bit or type): a constant-coefficient
+    solve runs one recurrence.  Only int, float, complex and Fraction series are
+    kept; mpmath ones are recomputed in each call's precision.
     """
+    global _columns_memo
     m = problem.grade
-    zero = (0j,) * (m + 1)
-    cols = [(zero, 1.0, 0.0), (zero, 0.0, 1.0), (problem.g(z1, m), 0.0, 0.0)]
-    coeffs = _taylor_columns(problem.a(z1, m), problem.b(z1, m), cols, m)
+    g, a, b = problem.g(z1, m), problem.a(z1, m), problem.b(z1, m)
+    key, flat = (m, len(g), len(a), len(b)), (*g, *a, *b)
+    memo = _columns_memo  # one read: a concurrent replacement can only make this a miss
+    if memo and memo[0] == key and all(map(is_, flat, memo[1])):
+        coeffs = memo[2]
+    else:
+        zero = (0j,) * (m + 1)
+        coeffs = _taylor_columns(a, b, [(zero, 1.0, 0.0), (zero, 0.0, 1.0), (g, 0.0, 0.0)], m)
+        if all(issubclass(t, _EXACT) for t in set(map(type, flat))):
+            _columns_memo = key, flat, coeffs
     dj = np.array([1 + 0j] + [z1 - z0] * m).cumprod()
     X = np.zeros((2 + len(knowns), 2, m + 1), complex)
     X[:, 1] = coeffs[:2] + coeffs[2:] * len(knowns)  # c, s, then p in every L
@@ -226,13 +243,8 @@ def _attempt(problem: OdeProblem, z0: complex, z1: complex, h: float, knowns: li
             # the wobble of (A, B) induced by the evaluation errors in the 2x2 system
             ab = max(abs(A), abs(B))
             d_ab = ninf_inv * (max(el1, el2) + ab * ecs)
-            fl = (
-                elm
-                + abs(A) * ecm
-                + abs(B) * esm
-                + d_ab * (abs(cm) + abs(sm))
-                + _EPS * (abs(lm) + abs(A * cm) + abs(B * sm))
-            )
+            fl = (elm + abs(A) * ecm + abs(B) * esm + d_ab * (abs(cm) + abs(sm))
+                  + _EPS * (abs(lm) + abs(A * cm) + abs(B * sm)))
             ratio = sample / max(problem.tol, fl)
             if ratio > worst[0]:
                 worst = (ratio, sample, fl)
@@ -375,19 +387,23 @@ def sho_step_matrix(m: int, nu: float) -> np.ndarray:
     """The 2x2 matrix mapping (y, y') across one collocation step for y'' + y = 0.
 
     The grade's exact step rationals evaluated in double; M[1, 1] is M[0, 0].
-    For x = nu^2 > 1 each polynomial c is evaluated reversed in 1/x, times
-    x^(len(c) - len(D)), so that no power of x overflows.
+    For nu > 1 each polynomial c is evaluated reversed in r^2, r = 1/nu, which
+    is c(x) / x^(len(c) - 1); N has the degree of D, P and Q that or one less, so
+    nu P / D is nu or r times a ratio of those values, and nothing overflows.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if not 0 < nu < math.inf:
         raise ValueError(f"nu must be positive and finite, not {nu!r}")
-    x, polys = nu * nu, _sho_floats(m)
-    if x > 1:
-        n, d, p, q = (P.polyval(1 / x, c[::-1]) * x ** (len(c) - len(polys[1])) for c in polys)
+    polys = _sho_floats(m)
+    if nu > 1:
+        r = 1 / nu
+        n, d, p, q = (P.polyval(r * r, c[::-1]) for c in polys)
+        p, q = ((nu if len(c) == len(polys[1]) else r) * (v / d) for c, v in zip(polys[2:], (p, q)))
     else:
-        n, d, p, q = (P.polyval(x, c) for c in polys)
-    return np.array([[n / d, nu * p / d], [nu * q / d, n / d]], dtype=complex)
+        n, d, p, q = (P.polyval(nu * nu, c) for c in polys)
+        p, q = nu * p / d, nu * q / d
+    return np.array([[n / d, p], [q, n / d]], dtype=complex)
 
 
 def sho_amplification(m: int, nu: float) -> tuple:

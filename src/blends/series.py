@@ -43,22 +43,6 @@ class LocalTaylor:
     def grade(self) -> int:
         return len(self.coeffs) - 1
 
-    def __add__(self, other):
-        return combine(self, other)
-
-    def __sub__(self, other):
-        return combine(self, other, 1.0, -1.0)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def value(self, z: complex) -> complex:
-        """Evaluate the polynomial itself (not a blend) at z."""
-        return horner(self.coeffs, z - self.knot)
-
     def derivative(self) -> "LocalTaylor":
         """Formal derivative, one grade lower (grade 0 maps to the zero constant)."""
         if self.grade == 0:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import threading
 import warnings
 from fractions import Fraction
 
@@ -155,7 +156,7 @@ def test_sho_amplification_huge_steps_finite(m):
     # no power of nu^2 overflows: the step tends to a finite limit
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = [sho_amplification(m, nu) for nu in (1e20, 1e40, 1e80)]
+        values = [sho_amplification(m, nu) for nu in (1e20, 1e40, 1e80, 1e154, 1e200, 1e300)]
     for c, s in values:
         assert math.isfinite(c) and math.isfinite(s)
         assert c == pytest.approx(values[0][0], rel=1e-14)
@@ -453,3 +454,135 @@ def test_noise_floor_bounds_roundoff(monkeypatch, problem):
         assert (st.z_from, st.z_to) == (z0, z1)
         exact = _exact_sample(problem, z0, z1, X)
         assert abs(st.residual - exact) <= st.noise_floor, (st, exact)
+
+
+# -- reuse of the step's Taylor columns ---------------------------------------
+
+
+def fresh_constant(value):
+    """constant_oracle with new number objects on every call: its columns are never reused."""
+    value = complex(value)
+
+    def oracle(point, grade):
+        return [complex(value.real, value.imag)] + [complex(0.0, 0.0) for _ in range(grade)]
+
+    return oracle
+
+
+def refilling(oracle):
+    """The oracle's coefficients written into, and returned as, one list per grade."""
+    buffers = {}
+
+    def refill(point, grade):
+        buf = buffers.setdefault(grade, [])
+        buf[:] = oracle(point, grade)
+        return buf
+
+    return refill
+
+
+def outputs(result):
+    return result.solution.to_document(), result.step_log_csv()
+
+
+def count_recurrences(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return taylor_columns(*args)
+
+    taylor_columns = odesolve._taylor_columns
+    monkeypatch.setattr(odesolve, "_taylor_columns", spy)
+    return calls
+
+
+@pytest.mark.parametrize("abg, path, y0, y1", [
+    ((0, 1, 0), (0.0, 2 * math.pi), 1.0, 0.0),
+    ((0.5 - 0.25j, 4.0, 3.0 + 1j), (0.0, 3 + 2j, 6.0), 0.5j, -1.0),
+], ids=["sho", "damped_forced"])
+def test_reused_columns_match_fresh_ones(abg, path, y0, y1):
+    # the same solve bit for bit whether its columns are reused or recomputed
+    shared = [constant_oracle(v) for v in abg]
+    fresh = [fresh_constant(v) for v in abg]
+    reused, recomputed = (solve_ivp(OdeProblem(*f, path, y0, y1, 15, 1e-12)) for f in (shared, fresh))
+    assert len(reused.steps) > 2
+    assert outputs(reused) == outputs(recomputed)
+
+
+def test_refilled_oracle_list_is_not_reused():
+    # a b oracle that refills one list with values that change along the path
+    # (Airy, b = -z) must miss every time, as a fresh list does; h_min stops a
+    # march on stale columns early
+    path = (0.0, 2 + 2j, 4.0)
+    fresh, refilled = (solve_ivp(OdeProblem(ZERO, b, ZERO, path, 1.0, 0.0, 15, 1e-12, h_min=1e-3))
+                       for b in (airy_b, refilling(airy_b)))
+    assert outputs(refilled) == outputs(fresh)
+
+
+def test_back_to_back_grades_match_solves_alone(monkeypatch):
+    # the kept columns belong to one grade; a solve at another grade recomputes
+    together = [outputs(solve_ivp(sho_problem(m, 1e-12))) for m in (10, 15, 10, 15)]
+    alone = []
+    for m in (10, 15):
+        monkeypatch.setattr(odesolve, "_columns_memo", None)
+        alone.append(outputs(solve_ivp(sho_problem(m, 1e-12))))
+    assert together == alone * 2
+
+
+def test_constant_coefficients_run_one_recurrence(monkeypatch):
+    calls = count_recurrences(monkeypatch)
+    p = OdeProblem(*(constant_oracle(v) for v in (0.5, 4.0, 3.0)), (0.0, 12.0), 1.0, 0.0, 15, 1e-12)
+    r = solve_ivp(p)
+    assert len(r.steps) > 3
+    assert len(calls) <= 2  # initial_series, then at most one step recurrence
+
+
+def test_varying_coefficients_run_one_recurrence_per_attempt(monkeypatch):
+    calls = count_recurrences(monkeypatch)
+    r = solve_ivp(mathieu_problem(ordinary_params(2.0, 1.0), 15, 1e-12))
+    assert len(calls) == len(r.steps) + 1
+
+
+def test_mpmath_coefficients_are_recomputed(monkeypatch):
+    # the same mpmath objects on every call still miss: their columns follow
+    # the precision of each call, so none are kept; and the kept columns of
+    # equal complex series (mpc(1) == 1 + 0j) are not theirs
+    zero, one = [mpmath.mpc(0)] * 16, [mpmath.mpc(1)] + [mpmath.mpc(0)] * 15
+    p = OdeProblem(lambda z, m: zero[: m + 1], lambda z, m: one[: m + 1], lambda z, m: zero[: m + 1],
+                   (0.0, 2 * math.pi), 1.0, 0.0, 15, 1e-12)
+    solve_ivp(sho_problem(15, 1e-12))
+    calls = count_recurrences(monkeypatch)
+    r = solve_ivp(p)
+    assert len(calls) == len(r.steps) + 1
+    assert all(isinstance(c, mpmath.mpc) for rec in r.solution.records[1:] for c in rec.coeffs)
+    assert abs(complex(r.solution.records[-1].coeffs[0]) - 1) <= 1e-10
+
+
+def test_short_series_is_refused_after_reuse():
+    # a b series too short for the grade raises even where the kept columns
+    # came from a longer series with the same leading objects
+    solve_ivp(sho_problem(15, 1e-12))
+    short = OdeProblem(ZERO, lambda z, m: ONE(z, m)[: 3 if z else m + 1], ZERO,
+                       (0.0, 2 * math.pi), 1.0, 0.0, 15, 1e-12)
+    with pytest.raises(ValueError, match="b-series grade 2 is too small"):
+        solve_ivp(short)
+
+
+def test_concurrent_solves_match_solves_alone():
+    # two threads that replace the kept columns in turn get their own results
+    problems = [OdeProblem(*(constant_oracle(v) for v in abg), (0.0, 6.0), 1.0, 0.0, 15, 1e-12)
+                for abg in ((0, 1, 0), (0.5, 4.0, 3.0))]
+    alone = [outputs(solve_ivp(p)) for p in problems]
+    results = [[], []]
+
+    def work(i):
+        for _ in range(5):
+            results[i].append(outputs(solve_ivp(problems[i])))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results == [[alone[0]] * 5, [alone[1]] * 5]
